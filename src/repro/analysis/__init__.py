@@ -1,9 +1,11 @@
 """Static race analysis over the kernel DSL.
 
 The dynamic detector (Table 2) pays a metadata check on every monitored
-access.  This package implements the hybrid complement the static-analysis
-literature suggests (Liew et al., *Provable GPU Data-Races in Static Race
-Detection*; Joshi & Muduganti, *GPURepair*):
+access.  This package is a standalone static complement, as the
+static-analysis literature suggests (Liew et al., *Provable GPU
+Data-Races in Static Race Detection*; Joshi & Muduganti, *GPURepair*).
+It is a correctness tool only: the dynamic detector consumes none of its
+verdicts.
 
 - :mod:`repro.analysis.extract` symbolically unrolls a kernel generator
   per thread into straight-line access traces annotated with barrier
@@ -13,9 +15,6 @@ Detection*; Joshi & Muduganti, *GPURepair*):
 - :mod:`repro.analysis.checker` runs the pairwise may-happen-in-parallel
   race check, classifies findings with the paper's race taxonomy and
   emits GPURepair-style fix hints;
-- :mod:`repro.analysis.prune` turns proven-safe instruction sites into
-  hints the dynamic detector consumes to skip metadata checks
-  (``IGuardConfig.static_prune``);
 - :mod:`repro.analysis.lint` is the ``iguard-experiments lint`` front end.
 
 The load-bearing invariant, enforced by the fuzzer's soundness gate

@@ -4,8 +4,7 @@ The question the checker answers, per instruction site *s*: can an access
 at *s* ever be the **current** access of a race the dynamic detector
 reports?  Races are blamed on the current access's ip
 (:meth:`IGuardCore.report_race`), so the per-site may-race set is exactly
-what both consumers need — the pruning contract skips checks at sites
-proven safe, and the fuzzer's soundness gate asserts dynamically reported
+what the fuzzer's soundness gate needs: it asserts dynamically reported
 ips are a subset of the may-race set.
 
 The metadata entry an access is checked against always snapshots some

@@ -56,7 +56,7 @@ STEP_BUDGET = 4096
 
 #: Metadata granularity the analysis mirrors (config.granularity_bytes
 #: default): a "granule" here must mean the same thing as in the dynamic
-#: detector's metadata table, or pruning hints would misalign.
+#: detector's metadata table, or static and dynamic verdicts would misalign.
 GRANULARITY_BYTES = 4
 
 
@@ -365,7 +365,7 @@ def extract_or_unanalyzable(
     Any failure — extraction budget, value-dependent control flow, or an
     exception raised by the kernel body itself under the synthetic value
     policy — yields ``analyzable=False``, which downstream consumers must
-    treat as "every site may race, nothing can be pruned".
+    treat as "every site may race".
     """
     try:
         return extract_kernel(

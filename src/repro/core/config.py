@@ -5,7 +5,9 @@ metadata per granule, ~2 MB of synchronization metadata, a 1 MB race-report
 buffer, three lock-table entries per warp/thread, and both section 6.5
 contention optimizations enabled.  The ablation experiments (Figure 12)
 flip ``coalescing``/``dynamic_backoff``; the ScoRD baseline mode disables
-``its_support`` and ``lockset``.
+``its_support`` and ``lockset``.  Every field models the paper's design,
+one of its ablations, or memory pressure (``metadata_max_entries``);
+none changes only the reproduction's own wall-clock speed.
 """
 
 from __future__ import annotations
@@ -51,31 +53,6 @@ class IGuardConfig:
     #: Reset memory metadata at each kernel launch: the implicit barrier at
     #: kernel completion orders everything across kernels (section 2.1).
     reset_metadata_per_kernel: bool = True
-    #: Same-epoch check elision (FastTrack-style fast path): when a thread
-    #: re-accesses a granule with unchanged metadata words, sync epoch,
-    #: access kind and scope, the Table 2 re-check is skipped — the paper's
-    #: ``check_per_access`` cycles are still charged, so races, race types
-    #: and cycle breakdowns are bit-identical with the knob on or off;
-    #: only the reproduction's own wall-clock time changes.
-    #:
-    #: ``True`` forces elision on, ``False`` off.  ``"auto"`` (the
-    #: default) samples the observed elision hit rate over the first
-    #: ``fast_path_warmup`` checked accesses of each kernel and turns the
-    #: signature bookkeeping off for the rest of the launch — and for
-    #: every later launch of the same kernel — when the rate is below
-    #: ``fast_path_break_even``.  Detection output is identical in all
-    #: three modes; "auto" just refuses to pay for bookkeeping that
-    #: cannot pay for itself.
-    fast_path: "bool | str" = "auto"
-    #: Checked accesses sampled per kernel before "auto" decides.  Kept
-    #: small so even short kernels (a few hundred checks) reach a
-    #: verdict instead of paying bookkeeping for their whole launch.
-    fast_path_warmup: int = 128
-    #: Minimum warm-up elision hit rate for "auto" to keep the fast path:
-    #: one elision saves roughly one full Table 2 check but every miss
-    #: costs a signature build + dict probe (~5% of a check), so the
-    #: break-even sits near elided/checked = 0.05.
-    fast_path_break_even: float = 0.05
     #: Cap on materialized metadata entries (None = unbounded, the
     #: paper's UVM-backed on-demand table).  A finite cap models memory
     #: pressure: the table evicts its oldest entry to admit a new granule.
@@ -90,16 +67,6 @@ class IGuardConfig:
     #: races for any of the programs"; setting this above 1 reproduces
     #: that experiment (metadata overhead grows linearly with it).
     accessor_history: int = 1
-    #: Consume the static analyzer's pruning hints: accesses at
-    #: instruction sites :mod:`repro.analysis` proved race-free take a
-    #: record-only path (metadata writeback, no Table 2 checks).  Race
-    #: reports and every simulated cycle charge are byte-identical with
-    #: the flag on; only wall-clock time changes.  Live launches only —
-    #: trace replay carries no kernel source to analyze — and only at the
-    #: paper's default ``accessor_history`` of 1: the history ablation
-    #: re-checks each access against *older* accessor views, whose flag
-    #: state the pairwise static argument does not model.
-    static_prune: bool = False
 
     def __post_init__(self) -> None:
         if self.granularity_bytes not in (4, 8, 16, 32):
@@ -110,12 +77,6 @@ class IGuardConfig:
             raise ConfigError("race buffer smaller than one record")
         if self.accessor_history < 1:
             raise ConfigError("accessor_history must be >= 1")
-        if self.fast_path not in (True, False, "auto"):
-            raise ConfigError('fast_path must be True, False, or "auto"')
-        if self.fast_path_warmup < 1:
-            raise ConfigError("fast_path_warmup must be >= 1")
-        if not 0.0 <= self.fast_path_break_even <= 1.0:
-            raise ConfigError("fast_path_break_even must be in [0, 1]")
         if self.metadata_max_entries is not None and self.metadata_max_entries < 1:
             raise ConfigError("metadata_max_entries must be >= 1 (or None)")
 

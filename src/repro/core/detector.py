@@ -29,24 +29,14 @@ Performance features from the paper, all modeled:
   one representative thread checks on behalf of the converged group;
 - dynamic exponential backoff on the per-entry metadata locks.
 
-One feature belongs to the *reproduction* rather than the paper: the
-same-epoch check-elision fast path (``IGuardConfig.fast_path``).  When a
-thread re-accesses a granule and nothing relevant has changed — same
-access kind, scope and convergence mask, identical metadata words, and no
-intervening synchronization or lock-table mutation (tracked by a single
-``SyncMetadata.epoch`` counter) — the Table 2 re-check is provably a
-replay of the previous one, so the detector reuses the recorded outcome
-and the recorded post-writeback metadata words.  All simulated cycles
-(UVM faults, contention stalls, ``check_per_access``) are still charged
-before the elision decision, and race outcomes are never cached (race
-records depend on the access's instruction pointer), so races, race types
-and cycle breakdowns are bit-identical with the knob on or off; only the
-reproduction's wall-clock time changes.
+Every access that coalescing does not skip runs the full Table 2 check,
+as in the paper: the reproduction adds no check elision and no static
+pruning of its own.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 # Re-exported for compatibility: these historically lived here and are
 # imported by the baselines and experiment harnesses.
@@ -87,14 +77,6 @@ class IGuard(Tool):
     """
 
     name = "iGUARD"
-
-    #: Whether this driver's event path can honor ``config.static_prune``.
-    #: The inline adapter can: every access flows through ``on_memory``,
-    #: where the safe-site set is consulted after all cycle charges.  The
-    #: batched sharded drivers (:mod:`repro.core.sharding`) bypass
-    #: ``on_memory`` entirely and set this False — pruning silently stays
-    #: off there rather than applying inconsistently.
-    static_prune_supported = True
 
     def __init__(
         self,
@@ -156,17 +138,14 @@ class IGuard(Tool):
         self._contention: Optional[ContentionModel] = None
         self._uvm: Optional[ManagedMetadataSpace] = None
         self._current: Optional[LaunchStats] = None
-        #: Safe-site frozenset from the static analyzer for the current
-        #: launch, or None when pruning is off / unavailable.
-        self._prune_safe = None
         self._coalesce_key: Optional[Tuple[int, int]] = None
         self._probe = None
         #: Per-shard routed-event counts for the current launch (HOT
         #: imbalance accounting; reset each launch).
         self._shard_routed: List[int] = [0] * shards
         #: Per-shard routed-event totals across the tool's whole life —
-        #: the bench's shard-imbalance forensics read this directly, so
-        #: it accumulates whether or not the HOT recorder is on.
+        #: the benchmark under ``benchmarks/`` reads this directly, so it
+        #: accumulates whether or not the HOT recorder is on.
         self.shard_routed_total: List[int] = [0] * shards
 
     # ------------------------------------------------------------------
@@ -221,22 +200,6 @@ class IGuard(Tool):
         self._current = LaunchStats(kernel=launch.kernel_name)
         self.stats.append(self._current)
         self._shard_routed = [0] * self.shards
-
-        # Static check pruning (repro.analysis): compute the safe-site
-        # set for this launch.  Gated on the paper-default accessor
-        # history — deeper histories re-check accesses against *older*
-        # accessor views the pairwise static argument does not model.
-        self._prune_safe = None
-        if (
-            self.config.static_prune
-            and self.static_prune_supported
-            and self.config.accessor_history == 1
-        ):
-            from repro.analysis.prune import compute_prune_hints
-
-            hints = compute_prune_hints(launch)
-            if hints is not None and hints.safe_sites:
-                self._prune_safe = hints.safe_sites
 
         # Fresh synchronization metadata per kernel: counters describe the
         # *running* kernel's threads.  The adapter owns the (shared) sync
@@ -368,8 +331,8 @@ class IGuard(Tool):
         )
 
         # Lock inference precedes race checking (Figure 6's orange boxes).
-        # CAS/EXCH mutate the shared lock tables (and bump the epoch), so
-        # in batched modes all shard queues must drain first.
+        # CAS/EXCH mutate the shared lock tables, so in batched modes all
+        # shard queues must drain first.
         if event.kind is AccessKind.ATOMIC:
             if event.atomic_op in (AtomicOp.CAS, AtomicOp.EXCH):
                 self._sync_barrier()
@@ -380,11 +343,11 @@ class IGuard(Tool):
         # Opportunistic coalescing: active threads of one warp loading (or
         # atomically updating) the same location cannot race with each
         # other, so a single representative performs the metadata access
-        # on behalf of the converged group (section 6.5).  The key rides
-        # the same granule index that keys the elision cache: the real
-        # implementation's warp match runs on the *metadata* address, so
-        # converged lanes touching different bytes of one granule coalesce
-        # into a single check of that granule's entry.
+        # on behalf of the converged group (section 6.5).  The key is the
+        # granule index: the real implementation's warp match runs on the
+        # *metadata* address, so converged lanes touching different bytes
+        # of one granule coalesce into a single check of that granule's
+        # entry.
         granule = self.cores[0].table.granule_of(event.address)
         if self.config.coalescing and event.kind in (
             AccessKind.LOAD,
@@ -404,9 +367,6 @@ class IGuard(Tool):
             self._coalesce_key = None
 
         # Metadata residency (UVM) and entry-lock contention, both serial.
-        # These run before any elision decision: both models are stateful,
-        # and their charges (like ``check_per_access`` below) must land
-        # identically whether or not the Table 2 re-check is elided.
         if self.config.use_uvm and self._uvm is not None:
             fault_cost = self._uvm.access(
                 granule * self.config.metadata_entry_bytes
@@ -432,15 +392,6 @@ class IGuard(Tool):
         self._shard_routed[shard] += 1
         if HOT.enabled and self.shards > 1:
             HOT.shard_routed.inc()
-        # Static check pruning: a statically-proven-safe site takes the
-        # record-only path — metadata writeback, no Table 2 checks.  The
-        # intercept sits AFTER every cycle charge above, so the timing
-        # breakdown is byte-identical with pruning on or off.
-        if self._prune_safe is not None and event.ip in self._prune_safe:
-            self.cores[shard].record_memory(
-                event, granule, launch, self._current
-            )
-            return
         self._dispatch(shard, event, granule, launch)
 
     def _dispatch(

@@ -22,13 +22,14 @@ The routing contract is what makes cores shardable
 (:mod:`repro.core.sharding`): per-granule state partitions cleanly by
 address hash, while sync mutations (barriers, fences, lock-inferring
 atomics, HB release/acquire) must be applied to shared (or replicated)
-synchronization state so every shard observes coherent epochs.
+synchronization state so every shard observes coherent counters.
 
 Two core families are provided:
 
 - :class:`IGuardCore` — the paper's Table 2 two-tier state machine
-  (metadata entries, lock inference, scoped checks, the same-epoch
-  elision cache).  ``IGuard`` and ``ScoRD`` ride it.
+  (metadata entries, lock inference, scoped checks).  Every access that
+  coalescing does not skip runs the full check through one path,
+  :meth:`IGuardCore.check_memory`.  ``IGuard`` and ``ScoRD`` ride it.
 - :class:`HBCore` — the FastTrack-style happens-before engine (per-thread
   vector clocks, per-address access histories, release/acquire through
   atomic locations).  ``Barracuda``, ``CURD`` and the pure
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional
 
 from repro.baselines.vectorclock import AccessHistory, VectorClock
 from repro.core.checks import CurrentAccess, preliminary_checks, race_checks, select_md
@@ -88,15 +89,8 @@ class LaunchStats:
     kernel: str = ""
     accesses_checked: int = 0
     accesses_coalesced: int = 0
-    #: Checked accesses whose Table 2 outcome was replayed from the
-    #: same-epoch elision cache instead of re-derived (a subset of
-    #: ``accesses_checked``; cycle charges are identical either way).
+    #: Always 0: kept because the benchmark under ``benchmarks/`` reads them.
     accesses_elided: int = 0
-    #: Accesses that took the record-only path because the static
-    #: analyzer proved their instruction site race-free
-    #: (``IGuardConfig.static_prune``).  Disjoint from
-    #: ``accesses_checked``: a pruned access still pays every cycle
-    #: charge and still writes metadata back, but runs no Table 2 checks.
     accesses_pruned: int = 0
     preliminary_pass: Dict[str, int] = field(default_factory=dict)
     races_reported: int = 0
@@ -235,9 +229,7 @@ class DetectorCore:
         One call per queued chunk: the adapter-level per-event dispatch
         (Tool callback, bus publish, cost charging) is paid once per
         batch and the backend's tightest ``check_run`` loop does the
-        rest.  Subclasses that can exploit batch structure (column
-        slices, signature runs) override this; the default just guards
-        the empty case and delegates.
+        rest.  It guards the empty case and delegates.
         """
         if run:
             self.check_run(run, launch, stats)
@@ -260,11 +252,11 @@ class IGuardCore(DetectorCore):
     """The paper's check state machine, decoupled from the Tool adapter.
 
     Owns the per-granule metadata table, the synchronization metadata
-    (counters + lock tables), the same-epoch elision cache, and the
-    section 6.7 accessor-history ablation.  The adapter keeps everything
-    that is *not* detection state: overhead charging, UVM residency,
-    contention stalls, and coalescing (all of which depend on the serial
-    event order, not on per-granule state).
+    (counters + lock tables), and the section 6.7 accessor-history
+    ablation.  The adapter keeps everything that is *not* detection
+    state: overhead charging, UVM residency, contention stalls, and
+    coalescing (all of which depend on the serial event order, not on
+    per-granule state).
 
     ``sync`` may be supplied to share one :class:`SyncMetadata` across a
     shard group (in-process sharding); otherwise the core owns its own
@@ -298,31 +290,6 @@ class IGuardCore(DetectorCore):
         #: Section 6.7 ablation state: per-granule history of the last N
         #: accessors (beyond the single packed metadata entry).
         self._history: Dict[int, Deque] = {}
-        #: Same-epoch elision cache: granule -> (signature, preliminary
-        #: label, post-writeback accessor word, post-writeback writer
-        #: word).  Disabled under the accessor-history ablation, whose
-        #: extra per-access history checks charge extra cycles that a
-        #: replayed outcome could not reproduce.
-        self._elide: Dict[int, Tuple] = {}
-        # Fast-path mode: "on" / "off" are forced; "auto" samples each
-        # kernel's elision hit rate over a warm-up window and disables
-        # the bookkeeping below break-even (the signature build + dict
-        # probe costs real time; an elision must repay it).  Disabled
-        # outright under the accessor-history ablation, whose extra
-        # per-access history checks charge extra cycles that a replayed
-        # outcome could not reproduce.
-        if config.accessor_history != 1 or config.fast_path is False:
-            self._fast_mode = "off"
-        elif config.fast_path == "auto":
-            self._fast_mode = "auto"
-        else:
-            self._fast_mode = "on"
-        self._fast_path = self._fast_mode != "off"
-        #: Sticky per-kernel "auto" verdicts (kernel name -> keep?);
-        #: later launches of a decided kernel skip the warm-up.
-        self.fast_decisions: Dict[str, bool] = {}
-        self._warmup_left = 0
-        self._warmup_hits = 0
         #: Ground-truth lock hashes of the last writer per granule, kept
         #: only while metrics are enabled, to count 16-bit Bloom filter
         #: false positives (filters intersect, true lock sets disjoint).
@@ -339,19 +306,7 @@ class IGuardCore(DetectorCore):
         # rebinds every core through :meth:`rebind_sync`.
         if self._owns_sync:
             self.sync = SyncMetadata(self.config.lock_table_entries)
-        self._elide.clear()
         self._writer_lock_truth.clear()
-        if self._fast_mode == "auto":
-            decision = self.fast_decisions.get(launch.kernel_name)
-            if decision is None:
-                # Undecided kernel: run the fast path through a warm-up
-                # window, counting elision hits.
-                self._fast_path = True
-                self._warmup_left = self.config.fast_path_warmup
-                self._warmup_hits = 0
-            else:
-                self._fast_path = decision
-                self._warmup_left = 0
         if self.config.reset_metadata_per_kernel:
             self.table.clear()
             self._history.clear()
@@ -367,8 +322,8 @@ class IGuardCore(DetectorCore):
         return self.table.granule_of(event.address)
 
     def is_sync_mutation(self, event) -> bool:
-        # CAS/EXCH atomics mutate the lock tables (and bump the epoch);
-        # other atomics only run the ordinary per-granule check.
+        # CAS/EXCH atomics mutate the lock tables; other atomics only run
+        # the ordinary per-granule check.
         if isinstance(event, SyncEvent):
             return True
         return event.kind is AccessKind.ATOMIC and event.atomic_op in (
@@ -435,7 +390,6 @@ class IGuardCore(DetectorCore):
                     "cas-acquire" if inserted else "cas-overflow", event,
                     f"lock 0x{event.address:x}, {event.scope.name.lower()} scope",
                 )
-            self.sync.epoch += 1
         elif event.atomic_op is AtomicOp.EXCH:
             table = self.sync.lock_table_for(where.warp_id, thread)
             released = table.release(event.address, event.scope)
@@ -446,7 +400,6 @@ class IGuardCore(DetectorCore):
                     "exch-release" if released else "exch-unmatched", event,
                     f"lock 0x{event.address:x}",
                 )
-            self.sync.epoch += 1
 
     # -- race detection ----------------------------------------------------
 
@@ -472,58 +425,6 @@ class IGuardCore(DetectorCore):
             self.probe.on_check(
                 event, granule, entry.accessor_word, entry.writer_word
             )
-
-        # Same-epoch fast path: if this thread already ran the full check
-        # against exactly these metadata words with the same access kind,
-        # scope and convergence mask, and no synchronization or lock-table
-        # mutation has happened since (one epoch counter guards them all),
-        # then every input to the Table 2 checks and to the writeback is
-        # unchanged — replay the recorded outcome.  The signature stores
-        # the *pre-check* words, so a granule rewritten by another thread
-        # misses (its words differ) and re-checks.
-        if self._fast_path:
-            sig = (
-                thread,
-                event.kind,
-                event.scope,
-                event.active_mask,
-                self.sync.epoch,
-                entry.accessor_word,
-                entry.writer_word,
-            )
-            cached = self._elide.get(granule)
-            hit = cached is not None and cached[0] == sig
-            if self._warmup_left:
-                # "auto" warm-up: sample the hit rate, then decide.
-                self._warmup_left -= 1
-                if hit:
-                    self._warmup_hits += 1
-                if not self._warmup_left:
-                    self._decide_fast_path(launch)
-                    if not self._fast_path:
-                        sig = None  # decision just disabled caching
-            if hit:
-                _, label, post_accessor, post_writer = cached
-                entry.accessor_word = post_accessor
-                entry.writer_word = post_writer
-                if stats is not None:
-                    stats.accesses_elided += 1
-                if HOT.enabled:
-                    HOT.detector_elided.inc()
-                if label is not None:
-                    if stats is not None:
-                        counts = stats.preliminary_pass
-                        counts[label] = counts.get(label, 0) + 1
-                    if HOT.enabled:
-                        HOT.detector_prelim_pass.inc()
-                if self.probe is not None:
-                    self.probe.on_outcome(
-                        event, granule, label, None,
-                        entry.accessor_word, entry.writer_word,
-                    )
-                return
-        else:
-            sig = None
 
         tag = self.table.tag_of_granule(granule)
         wpb = launch.warps_per_block
@@ -606,180 +507,11 @@ class IGuardCore(DetectorCore):
         if config.accessor_history > 1:
             self._record_history(granule, curr, event, thread, locks_bloom)
 
-        # Remember this check for replay.  Racy outcomes are never cached:
-        # race records carry the access's instruction pointer, so a repeat
-        # access from a different program location must re-run the checks
-        # to report its own site.
-        if sig is not None:
-            if race_type is None:
-                self._elide[granule] = (
-                    sig, passed, entry.accessor_word, entry.writer_word
-                )
-            else:
-                self._elide.pop(granule, None)
-
         if self.probe is not None:
             self.probe.on_outcome(
                 event, granule, passed, race_type,
                 entry.accessor_word, entry.writer_word,
             )
-
-    def record_memory(
-        self, event: MemoryEvent, granule: int, launch, stats=None
-    ) -> None:
-        """Metadata bookkeeping for a statically pruned access.
-
-        The pruning contract (``IGuardConfig.static_prune``) lets the
-        adapter skip the Table 2 checks for accesses whose instruction
-        site the static analyzer proved race-free — but it may NOT skip
-        the *writeback*: the 16-byte entry holds only the last accessor
-        and writer, so dropping a pruned access's snapshot would leave a
-        stale earlier access in the entry and change what the next
-        *unpruned* access is checked against (unmasking or masking races
-        and breaking byte-identity of reports).  This method is
-        :meth:`check_memory` minus the checks: sharing-flag update from
-        the last accessor, full writeback, and the HOT lock-truth shadow.
-        The elision cache is left alone — a stale cached signature can
-        only miss afterwards (the entry words changed), never replay a
-        wrong outcome.
-        """
-        where = event.where
-        thread = where.thread_key
-        if stats is not None:
-            stats.accesses_pruned += 1
-        if HOT.enabled:
-            HOT.detector_pruned.inc()
-
-        entry = self.table.lookup_granule(granule)
-        tag = self.table.tag_of_granule(granule)
-        wpb = launch.warps_per_block
-        locks_bloom = self.sync.lock_table_for(
-            where.warp_id, thread
-        ).locks_bloom_int()
-        curr = CurrentAccess(
-            kind=event.kind,
-            warp_id=where.warp_id,
-            lane=where.lane,
-            block_id=where.block_id,
-            active_mask=event.active_mask,
-            locks_bloom=locks_bloom,
-        )
-        if entry.valid:
-            last = entry.last_accessor
-            if last.block_id(wpb) != curr.block_id:
-                entry.set_flag("DevShared", True)
-            elif last.warp_id != curr.warp_id:
-                entry.set_flag("BlkShared", True)
-        self._write_back(entry, tag, curr, event, thread, locks_bloom)
-        if HOT.enabled and event.is_write:
-            self._writer_lock_truth[granule] = frozenset(
-                self.sync.lock_table_for(where.warp_id, thread).held_hashes()
-            )
-
-    def _decide_fast_path(self, launch) -> None:
-        """End of an "auto" warm-up window: keep or drop the fast path.
-
-        The verdict sticks for every later launch of the same kernel (on
-        this core).  Elision is outcome-neutral by construction — a hit
-        replays the recorded check verbatim — so the decision changes
-        wall-clock time only, never detection output.
-        """
-        config = self.config
-        keep = (
-            self._warmup_hits
-            >= config.fast_path_break_even * config.fast_path_warmup
-        )
-        self.fast_decisions[launch.kernel_name] = keep
-        if not keep:
-            self._fast_path = False
-            self._elide.clear()
-        if HOT.enabled:
-            if keep:
-                HOT.fastpath_auto_kept.inc()
-            else:
-                HOT.fastpath_auto_disabled.inc()
-
-    def check_run(self, run, launch, stats=None) -> None:
-        """Check a queued run of routed ``(event, granule)`` pairs in order.
-
-        Semantically identical to calling :meth:`check_memory` once per
-        pair — batched drivers use it to drain a shard's queue between
-        sync-state mutations.  The loop hoists lookups and inlines the
-        same-epoch elision *hit* (the hot case in steady-state kernels):
-        within a run the sync state is frozen (runs end at every barrier,
-        fence, and lock-mutating atomic), so the epoch is a loop constant.
-        Misses and probe-attached runs fall back to ``check_memory``.
-        """
-        if not self._fast_path or self.probe is not None or self._warmup_left:
-            # The per-event path also carries the "auto" warm-up
-            # accounting, so an undecided kernel drains through it until
-            # the window closes.
-            check = self.check_memory
-            event = None
-            try:
-                for event, granule in run:
-                    check(event, granule, launch, stats)
-            except Exception as exc:
-                self._quarantine_resume(run, event, exc, launch, stats)
-            return
-        lookup = self.table.lookup_granule
-        elide = self._elide
-        epoch = self.sync.epoch
-        check = self.check_memory
-        hits = 0
-        prelim = 0
-        labels: Dict[str, int] = {}
-        event = None
-        try:
-            for event, granule in run:
-                cached = elide.get(granule)
-                if cached is None:
-                    check(event, granule, launch, stats)
-                    continue
-                sig = cached[0]
-                where = event.where
-                entry = lookup(granule)
-                if (
-                    sig[4] == epoch
-                    and sig[5] == entry.accessor_word
-                    and sig[6] == entry.writer_word
-                    and sig[1] is event.kind
-                    and sig[0] == (where.warp_id, where.lane)
-                    and sig[3] == event.active_mask
-                    and sig[2] is event.scope
-                ):
-                    entry.accessor_word = cached[2]
-                    entry.writer_word = cached[3]
-                    hits += 1
-                    label = cached[1]
-                    if label is not None:
-                        prelim += 1
-                        labels[label] = labels.get(label, 0) + 1
-                else:
-                    check(event, granule, launch, stats)
-        except Exception as exc:
-            # Flush the elision accounting accrued so far *before* the
-            # resume recursion, so totals match the per-event path.
-            self._flush_elision(hits, prelim, labels, stats)
-            self._quarantine_resume(run, event, exc, launch, stats)
-            return
-        self._flush_elision(hits, prelim, labels, stats)
-
-    def _flush_elision(self, hits, prelim, labels, stats) -> None:
-        """Credit a drain's accumulated elision-hit accounting."""
-        if not hits:
-            return
-        if stats is not None:
-            stats.accesses_checked += hits
-            stats.accesses_elided += hits
-            counts = stats.preliminary_pass
-            for label, n in labels.items():
-                counts[label] = counts.get(label, 0) + n
-        if HOT.enabled:
-            HOT.detector_checked.inc(hits)
-            HOT.detector_elided.inc(hits)
-            if prelim:
-                HOT.detector_prelim_pass.inc(prelim)
 
     # -- accessor-history ablation (section 6.7) ---------------------------
 

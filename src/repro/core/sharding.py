@@ -33,8 +33,7 @@ Three execution modes, all producing byte-identical race reports:
   shard and drain through the cores' tight ``check_run`` loops at every
   sync-mutation boundary; shard-local race records are re-sorted into
   serial order (:func:`repro.core.report.merge_race_records`) at launch
-  end.  Used by :func:`replay_trace_sharded`, the fast replay driver
-  behind the bench's shard-scaling measurement.
+  end.  Used by :func:`replay_trace_sharded`, the fast replay driver.
 - **process pool** (``mode="processpool"`` of
   :func:`replay_workload_sharded`): one replica per shard replays the
   whole trace in a worker process, absorbing broadcasts against its own
@@ -146,19 +145,13 @@ class BatchShardedIGuard(IGuard):
     identical too (front-end charges stay per-event in stream order).
     """
 
-    #: Static pruning stays off here: a pruned access would write its
-    #: metadata back *immediately* while earlier queued checks to the
-    #: same granule are still waiting in the shard queue, reordering
-    #: metadata updates relative to checks.
-    static_prune_supported = False
-
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._queues: List[list] = [[] for _ in range(self.shards)]
         self._deferred: List[RaceRecord] = []
-        #: Deepest single-shard queue ever drained — the bench's
-        #: shard-scaling forensics read this (deep queues at low shard
-        #: counts mean drains serialize on one hot shard).
+        #: Deepest single-shard queue ever drained — the benchmark under
+        #: ``benchmarks/`` reads this (deep queues at low shard counts
+        #: mean drains serialize on one hot shard).
         self.queue_depth_max = 0
         #: Queued events since the last drain; at ``queue_cap()`` the
         #: producer forces an early drain (blocking backpressure), so an
@@ -309,7 +302,7 @@ class ShardedReplayResult:
     """Outcome of one :func:`replay_trace_sharded` pass."""
 
     tool: BatchShardedIGuard
-    events: int  # accesses checked + coalesced (the bench throughput base)
+    events: int  # accesses checked + coalesced (the throughput base)
     seconds: float  # wall-clock spent inside the replay loop
 
 
@@ -606,8 +599,7 @@ def replay_trace_sharded(
     :class:`~repro.gpu.arch.GPUConfig`.  See :class:`_ShardedDrain` for
     the exactness contract.
 
-    Returns the tool plus the wall-clock seconds of the replay loop, the
-    basis of the bench's events/sec-at-N-shards measurement.
+    Returns the tool plus the wall-clock seconds of the replay loop.
     """
     import itertools
 
@@ -685,10 +677,6 @@ def replay_columnar_sharded(
 
 class _ShardReplicaIGuard(IGuard):
     """One shard's view of the trace: full sync replica, filtered checks."""
-
-    #: Replicas replay serialized traces — no kernel source to analyze,
-    #: and the parent merge assumes every replica checked its full slice.
-    static_prune_supported = False
 
     def __init__(self, shard_index: int, num_shards: int, config, costs=None):
         super().__init__(config, costs=costs, shards=1)

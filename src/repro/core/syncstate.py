@@ -44,13 +44,6 @@ class SyncMetadata:
         self._blk_fence: Dict[ThreadKey, int] = {}
         self._warp_locks: Dict[int, LockTable] = {}
         self._thread_locks: Dict[ThreadKey, LockTable] = {}
-        #: Monotonic change counter over *all* synchronization state —
-        #: barrier/fence counters and (via the detector's lock-inference
-        #: hooks) the lock tables.  The detector's same-epoch elision
-        #: cache compares this single integer instead of re-reading four
-        #: counters and a lock summary; any bump conservatively
-        #: invalidates every cached check outcome.
-        self.epoch = 0
 
     # -- counters ---------------------------------------------------------
 
@@ -73,14 +66,12 @@ class SyncMetadata:
     def on_syncthreads(self, block_id: int) -> None:
         """A threadblock barrier completed: bump the block's counter."""
         self._blk_bar[block_id] = (self.blk_bar(block_id) + 1) % (1 << BLK_BAR_BITS)
-        self.epoch += 1
 
     def on_syncwarp(self, warp_id: int) -> None:
         """A warp barrier completed: bump the warp's counter."""
         self._warp_bar[warp_id] = (self.warp_bar(warp_id) + 1) % (
             1 << WARP_BAR_BITS
         )
-        self.epoch += 1
 
     def on_fence(self, thread: ThreadKey, scope: Scope) -> None:
         """A thread executed a scoped threadfence: bump its counter."""
@@ -92,7 +83,6 @@ class SyncMetadata:
             self._blk_fence[thread] = (self.blk_fence(thread) + 1) % (
                 1 << BLK_FENCE_BITS
             )
-        self.epoch += 1
 
     # -- lock tables --------------------------------------------------------
 

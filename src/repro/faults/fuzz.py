@@ -14,8 +14,8 @@ Two generators, one oracle:
   **soundness gate** for the static analyzer (:mod:`repro.analysis`):
   every race the serial iGUARD leg reports must fall inside the
   analyzer's may-race set — a dynamically caught race at a
-  statically-proven-safe site would mean check pruning can hide real
-  races, so it fails the campaign like any divergence.
+  statically-proven-safe site would mean the analyzer is unsound, so it
+  fails the campaign like any divergence.
 - **Trace mutation**: byte- and line-level corruption of ``.jsonl``,
   ``.jsonl.gz``, ``.ctr`` and ``.ctr.gz`` containers (flips, truncation,
   duplication, junk insertion).  The salvage contract is the oracle:
@@ -325,9 +325,9 @@ def differential_check(
     for ip, race_type in reference["sites"].items():
         if not static_lint.allows_dynamic_site(ip):
             # The dynamic detector caught a race at a site the static
-            # analyzer proved safe (or never saw): pruning that site
-            # would have hidden a real race.  This is THE bug class the
-            # gate exists to catch — fail the campaign.
+            # analyzer proved safe (or never saw): the analyzer is
+            # unsound there.  This is THE bug class the gate exists to
+            # catch — fail the campaign.
             return {
                 "kind": "soundness",
                 "signature": "soundness@static-analyzer",

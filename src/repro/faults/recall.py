@@ -327,15 +327,11 @@ def main(argv=None) -> int:
         os.environ[sharding.ENV_VAR] = str(args.shards)
     begin_observability(args)
 
-    from repro.core.config import DEFAULT_CONFIG
     from repro.core.sharding import default_shards
     from repro.obs.log import log_run_config
 
     log_run_config(
-        backend="iguard",
-        shards=default_shards(),
-        workers=args.workers,
-        fast_path=DEFAULT_CONFIG.fast_path,
+        backend="iguard", shards=default_shards(), workers=args.workers
     )
 
     journal = (

@@ -174,8 +174,6 @@ class Device:
             device=self,
             seed=seed,
             static_instruction_count=len(kernel_fn.__code__.co_code) // 2,
-            kernel_fn=kernel_fn,
-            args=args,
         )
         self.bus.publish_launch_begin(launch)
 

@@ -16,7 +16,7 @@ categories; a tool that charges nothing is a zero-overhead observer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Tuple
+from typing import TYPE_CHECKING
 
 from repro.instrument.timing import TimingBreakdown
 
@@ -40,14 +40,6 @@ class LaunchInfo:
     device: "Device"
     seed: int = 0
     static_instruction_count: int = 0
-    #: The kernel generator and its launch arguments, for tools that
-    #: re-derive facts about the program (the static analyzer's pruning
-    #: hints).  Live launches populate both; trace *replay* reconstructs
-    #: LaunchInfo from serialized records and leaves them at their
-    #: defaults — consumers must treat ``kernel_fn=None`` as "source
-    #: unavailable".
-    kernel_fn: Optional[Callable] = None
-    args: Tuple = ()
 
     @property
     def num_warps(self) -> int:

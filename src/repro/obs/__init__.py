@@ -21,9 +21,6 @@ wired through every layer of the reproduction:
   :mod:`repro.obs.openmetrics` (the ``--serve-metrics`` scrape server:
   ``/metrics`` + ``/healthz``) and :mod:`repro.obs.watchdog` (SLO rules
   over the series, surfaced as a ``health`` block in final reports).
-- :mod:`repro.obs.profiler` — per-phase sampling profiler behind
-  ``bench --attribution`` (collapsed-stack flamegraphs, per-phase
-  self-time).
 
 :mod:`repro.obs.forensics` (imported lazily — it depends on the core and
 engine layers) reconstructs, from a recorded trace, why a race was
@@ -31,7 +28,7 @@ reported: the racing instruction pair, the metadata word history, and the
 lock-inference timeline (``iguard-experiments explain``).
 
 The CLI helpers below give every entry point (``iguard-experiments``, the
-bench harness, the suite drivers, ``python -m repro.workloads.runner``,
+suite drivers, ``python -m repro.workloads.runner``,
 ``python -m repro.faults.recall``) the same flags with one call each.
 The telemetry stack is a **pure reader** of the registry: arming it
 cannot change detection output (byte-identical reports with telemetry on

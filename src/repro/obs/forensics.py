@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import argparse
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.metadata import ACCESSOR_WORD, WRITER_WORD
@@ -265,10 +265,6 @@ def explain_trace(
 
     Pure replay: the trace fully determines the event stream, so the
     forensic detector observes exactly the execution that was recorded.
-    The replayed detector runs with the same-epoch fast path disabled —
-    elision replays cached *outcomes*, while forensics wants every check
-    derived in full — which by the PR 2 invariant changes no detection
-    output.
     """
     from repro.core.config import DEFAULT_CONFIG
     from repro.core.detector import IGuard
@@ -276,14 +272,13 @@ def explain_trace(
     from repro.errors import TimeoutError_
     from repro.workloads.base import SIM_GPU
 
-    detector_config = replace(config or DEFAULT_CONFIG, fast_path=False)
     gpu = trace.gpu_config or SIM_GPU
     reports: List[RaceForensics] = []
     for seed, events in trace.runs():
         device = ReplayDevice(gpu)
         probe = ForensicProbe(site=site, window=window)
         probe.seed = seed
-        tool = IGuard(config=detector_config)
+        tool = IGuard(config=config or DEFAULT_CONFIG)
         tool.probe = probe
         device.add_tool(tool)
         try:

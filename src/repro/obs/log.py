@@ -83,32 +83,21 @@ def log_run_config(
     backend: str,
     shards: int,
     workers: int,
-    fast_path=None,
     logger: Optional[logging.Logger] = None,
 ) -> None:
     """One-line INFO summary of a run's execution shape.
 
-    Emitted once at startup by the entry points (runner, recall gate,
-    bench) so any log capture states how the run was configured —
-    which detector backend, how many detector shards partition the
-    per-launch check work, how many worker processes fan cells out,
-    and whether the same-epoch elision fast path is active.
-    ``fast_path`` of None (detectors without the knob) logs as ``n/a``;
-    the string ``"auto"`` logs as-is (per-kernel adaptive decision).
+    Emitted once at startup by the entry points (runner, recall gate)
+    so any log capture states how the run was configured — which
+    detector backend, how many detector shards partition the per-launch
+    check work, and how many worker processes fan cells out.
     """
     log = logger if logger is not None else get_logger("config")
-    if fast_path is None:
-        shown = "n/a"
-    elif fast_path == "auto":
-        shown = "auto"
-    else:
-        shown = "on" if fast_path else "off"
     log.info(
-        "run config: backend=%s shards=%d workers=%d fast-path=%s",
+        "run config: backend=%s shards=%d workers=%d",
         backend,
         shards,
         workers,
-        shown,
     )
 
 

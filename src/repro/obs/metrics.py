@@ -234,8 +234,6 @@ class _HotMetrics:
         self.enabled = registry.enabled
         # Detector hot path.
         self.detector_checked = registry.counter("detector.accesses_checked")
-        self.detector_elided = registry.counter("detector.accesses_elided")
-        self.detector_pruned = registry.counter("detector.accesses_pruned")
         self.detector_coalesced = registry.counter("detector.accesses_coalesced")
         self.detector_prelim_pass = registry.counter("detector.preliminary_pass")
         self.detector_race_tier = registry.counter("detector.race_checks_run")
@@ -290,11 +288,6 @@ class _HotMetrics:
         # Columnar trace container (repro.engine.coltrace).
         self.trace_chunks = registry.counter("trace.chunks_decoded")
         self.trace_rows = registry.counter("trace.rows_decoded")
-        # Adaptive fast path: per-kernel warm-up decisions.
-        self.fastpath_auto_kept = registry.counter("detector.fastpath.auto_kept")
-        self.fastpath_auto_disabled = registry.counter(
-            "detector.fastpath.auto_disabled"
-        )
 
 
 _REGISTRY = MetricsRegistry(

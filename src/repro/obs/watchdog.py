@@ -13,10 +13,6 @@ small set of operational verdicts:
     The ``shard.imbalance`` gauge (max/mean events per shard) exceeds
     its ratio once enough events have been routed to make the ratio
     meaningful.
-``fastpath_churn``
-    The adaptive fast path is disabling itself on a large fraction of
-    kernels — the workload defeats the same-epoch elision cache and the
-    warm-up cost is being paid for nothing.
 ``retry_burn``
     Cell retries are burning budget faster than the per-minute
     threshold; at this rate the run ends in ``RetryExhaustedError``.
@@ -36,8 +32,7 @@ still exits 0 — the watchdog reports, the retry/timeout machinery in
 Thresholds come from :class:`WatchdogConfig`, overridable with the
 ``IGUARD_WATCHDOG`` env spec (``key=value`` pairs, comma-separated, same
 grammar as ``IGUARD_CHAOS``): ``stall_s``, ``imbalance_ratio``,
-``imbalance_min_events``, ``churn_ratio``, ``churn_min_decisions``,
-``retries_per_min``, ``quarantine_events``.
+``imbalance_min_events``, ``retries_per_min``, ``quarantine_events``.
 """
 
 from __future__ import annotations
@@ -64,10 +59,6 @@ class WatchdogConfig:
     imbalance_ratio: float = 2.0
     #: ... but only once this many events have been routed in total.
     imbalance_min_events: int = 10_000
-    #: disabled/(kept+disabled) above this fires fastpath_churn ...
-    churn_ratio: float = 0.5
-    #: ... but only after this many auto decisions.
-    churn_min_decisions: int = 8
     #: Retry deltas scaled to a per-minute rate above this fire retry_burn.
     retries_per_min: float = 6.0
     #: Cumulative quarantined (poison) events at or above this fire
@@ -98,8 +89,6 @@ class WatchdogConfig:
             "stall_s": self.stall_s,
             "imbalance_ratio": self.imbalance_ratio,
             "imbalance_min_events": self.imbalance_min_events,
-            "churn_ratio": self.churn_ratio,
-            "churn_min_decisions": self.churn_min_decisions,
             "retries_per_min": self.retries_per_min,
             "quarantine_events": self.quarantine_events,
         }
@@ -156,7 +145,6 @@ class Watchdog:
         fired: List[Finding] = []
         fired.extend(self._check_worker_stall(heartbeats, now))
         fired.extend(self._check_shard_imbalance(totals, now))
-        fired.extend(self._check_fastpath_churn(totals, now))
         fired.extend(self._check_retry_burn(sample, now))
         fired.extend(self._check_quarantine(totals, now))
         return fired
@@ -218,38 +206,6 @@ class Watchdog:
                 value=ratio,
                 now=now,
                 detail={"imbalance": round(ratio, 3), "events_routed": routed},
-            )
-        ]
-
-    def _check_fastpath_churn(
-        self, totals: Dict[str, dict], now: float
-    ) -> List[Finding]:
-        kept = totals.get("detector.fastpath.auto_kept", {}).get("value", 0)
-        disabled = totals.get(
-            "detector.fastpath.auto_disabled", {}
-        ).get("value", 0)
-        decisions = kept + disabled
-        if decisions < self.config.churn_min_decisions:
-            return []
-        ratio = disabled / decisions
-        if ratio <= self.config.churn_ratio:
-            return []
-        return [
-            self._record(
-                rule="fastpath_churn",
-                subject="fastpath",
-                level="warning",
-                message=(
-                    f"adaptive fast path disabled itself on "
-                    f"{disabled}/{decisions} kernels "
-                    f"({100 * ratio:.0f}% > "
-                    f"{100 * self.config.churn_ratio:.0f}%) — "
-                    f"consider --fast-path off"
-                ),
-                value=ratio,
-                now=now,
-                detail={"kept": kept, "disabled": disabled,
-                        "churn": round(ratio, 3)},
             )
         ]
 

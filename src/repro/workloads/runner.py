@@ -72,22 +72,16 @@ class DetectorFactory:
     attribute so :func:`detector_name` resolves it without instantiating.
     """
 
-    def __init__(self, cls, shards: Optional[int] = None, config=None):
+    def __init__(self, cls, shards: Optional[int] = None):
         self.cls = cls
         self.shards = shards
-        #: Optional detector config (e.g. an ``IGuardConfig`` with
-        #: ``static_prune=True``); frozen dataclasses pickle fine.
-        self.config = config
         self.name = cls.name
 
     def __call__(self, shards: Optional[int] = None) -> Tool:
         shards = shards if shards is not None else self.shards
-        kwargs = {}
-        if shards is not None:
-            kwargs["shards"] = shards
-        if self.config is not None:
-            kwargs["config"] = self.config
-        return self.cls(**kwargs)
+        if shards is None:
+            return self.cls()
+        return self.cls(shards=shards)
 
 
 @dataclass
@@ -520,12 +514,6 @@ def main(argv=None) -> int:
              "to serial for any N",
     )
     parser.add_argument(
-        "--static-prune", action="store_true",
-        help="consume the static analyzer's pruning hints: accesses at "
-             "statically-proven-safe sites skip the Table 2 checks "
-             "(iguard only; reports are byte-identical either way)",
-    )
-    parser.add_argument(
         "--report-json", default=None, metavar="PATH",
         help="write the merged result (status, sites, timing) as "
              "canonical JSON to PATH — sharded and serial runs produce "
@@ -557,7 +545,6 @@ def main(argv=None) -> int:
     logger = get_logger("runner")
 
     from repro.baselines import Barracuda, CURD, FastTrack, ScoRD
-    from repro.core.config import DEFAULT_CONFIG
     from repro.core.detector import IGuard
     from repro.core.sharding import default_shards
     from repro.obs.log import log_run_config
@@ -572,15 +559,8 @@ def main(argv=None) -> int:
         "native": None,
     }[args.detector]
     shards = args.shards if args.shards is not None else default_shards()
-    detector_config = None
-    if args.static_prune:
-        if args.detector != "iguard":
-            parser.error("--static-prune only applies to --detector iguard")
-        from dataclasses import replace
-
-        detector_config = replace(DEFAULT_CONFIG, static_prune=True)
     factory: ToolFactory = (
-        DetectorFactory(detector_cls, shards=shards, config=detector_config)
+        DetectorFactory(detector_cls, shards=shards)
         if detector_cls is not None
         else None
     )
@@ -594,14 +574,7 @@ def main(argv=None) -> int:
         else None
     )
     log_run_config(
-        backend=args.detector,
-        shards=shards,
-        workers=args.workers,
-        fast_path=(
-            DEFAULT_CONFIG.fast_path
-            if args.detector in ("iguard", "scord")
-            else None
-        ),
+        backend=args.detector, shards=shards, workers=args.workers,
         logger=logger,
     )
     result = run_workload(

@@ -1,24 +1,18 @@
-"""The static race analyzer: verdicts, pruning contract, soundness.
+"""The static race analyzer: verdicts and soundness.
 
-Three layers of pinning:
+Two layers of pinning:
 
 1. **Direction-pinned verdicts** — the four race-free fault patterns
    must come back ``clean`` and all seven annotated mutants must come
    back ``racy`` with exactly the annotated Table 2 race type.  These
    are the same fixtures the dynamic recall gate runs, so the static
    and dynamic verdicts are pinned to one shared ground truth.
-2. **The pruning contract** — with ``static_prune=True`` the detector
-   must produce byte-identical races, race types, stats and timing
-   breakdowns, while actually eliding checks on the clean patterns.
-3. **The soundness property** — over *generated* fuzz programs, any
+2. **The soundness property** — over *generated* fuzz programs, any
    site the analyzer proves safe must never be the site of a dynamic
-   race report, for any scheduler seed and shard count.  This is the
-   invariant that makes check pruning safe at all.
+   race report, for any scheduler seed and shard count.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,17 +20,13 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis import analyze_kernel, extract_kernel
 from repro.analysis.extract import ExtractionError, extract_or_unanalyzable
 from repro.analysis.lint import analyze_workload, to_document
-from repro.analysis.prune import compute_prune_hints
 from repro.common.rng import SplitMix64
-from repro.core.config import DEFAULT_CONFIG
 from repro.core.detector import IGuard
 from repro.faults.fuzz import gen_program, program_workload
 from repro.faults.workloads import FAULT_PATTERNS, get_pattern
 from repro.gpu.device import Device
 from repro.gpu.instructions import Scope, load, scope_covers, store
 from repro.workloads.base import SIM_GPU
-
-PRUNE_CONFIG = replace(DEFAULT_CONFIG, static_prune=True)
 
 
 # ---------------------------------------------------------------------------
@@ -136,122 +126,6 @@ class TestExtraction:
 
 
 # ---------------------------------------------------------------------------
-# The pruning contract
-# ---------------------------------------------------------------------------
-
-
-def _run_pattern(pattern_name, config):
-    workload = get_pattern(pattern_name).workload
-    device = Device(SIM_GPU)
-    tool = device.add_tool(IGuard(config=config))
-    workload.run(device, workload.seeds[0])
-    sites = sorted((str(ip), str(t)) for ip, t in tool.races.sites())
-    timing = [
-        (run.kernel_name, run.timing.native_time, run.timing.total_time)
-        for run in device.runs
-    ]
-    pruned = sum(s.accesses_pruned for s in tool.stats)
-    checked = sum(s.accesses_checked for s in tool.stats)
-    return sites, timing, pruned, checked
-
-
-class TestPruningContract:
-    @pytest.mark.parametrize(
-        "pattern", [p.name for p in FAULT_PATTERNS]
-    )
-    def test_reports_identical_and_checks_elided(self, pattern):
-        off = _run_pattern(pattern, DEFAULT_CONFIG)
-        on = _run_pattern(pattern, PRUNE_CONFIG)
-        assert on[0] == off[0], "race sites must be byte-identical"
-        assert on[1] == off[1], "cycle charges must be byte-identical"
-        assert off[2] == 0, "pruning off must never prune"
-        # The baselines are fully proven safe, so pruning-on must elide
-        # every single Table 2 check.
-        assert on[2] > 0 and on[3] == 0, (
-            f"expected all checks elided, got pruned={on[2]} "
-            f"checked={on[3]}"
-        )
-
-    def test_racy_program_reports_survive_pruning(self):
-        # A program with genuine races: pruning may elide provably-safe
-        # sites but must report the identical races.
-        statements = [
-            ["store", 3, 0, 1, 7],   # warp 0 leader writes a[1]
-            ["store", 4, 0, 1, 9],   # warp 1 leader writes a[1]: BR race
-            ["syncthreads", 0, 0, 0, 0],
-            ["store", 0, 1, 2, 5],   # all threads write b[2] post-barrier
-        ]
-        workload = program_workload(statements)
-
-        def run(config):
-            device = Device(SIM_GPU)
-            tool = device.add_tool(IGuard(config=config))
-            workload.run(device, 0)
-            return sorted(
-                (str(ip), str(t)) for ip, t in tool.races.sites()
-            )
-
-        off, on = run(DEFAULT_CONFIG), run(PRUNE_CONFIG)
-        assert off == on
-        assert off, "fixture must actually race"
-
-    def test_no_hints_for_replayed_launches(self):
-        # Replay reconstructs LaunchInfo without kernel_fn; the detector
-        # must run fully unpruned rather than guess.
-        from repro.instrument.nvbit import LaunchInfo
-        from repro.instrument.timing import TimingBreakdown
-
-        launch = LaunchInfo(
-            kernel_name="k", grid_dim=1, block_dim=4, warp_size=4,
-            warps_per_block=1, num_threads=4,
-            timing=TimingBreakdown(parallelism=1.0), device=None,
-        )
-        assert launch.kernel_fn is None
-        assert compute_prune_hints(launch) is None
-
-    def test_no_hints_under_a_mutator(self):
-        # With a fault mutator installed the executed stream differs
-        # from the source: hints must be withheld.
-        from repro.faults.mutators import install
-
-        pattern = get_pattern("ff-pipeline")
-        spec = pattern.mutations[0]
-        device = Device(SIM_GPU)
-        tool = device.add_tool(IGuard(config=PRUNE_CONFIG))
-        install(spec, device)
-        try:
-            pattern.workload.run(device, pattern.workload.seeds[0])
-        except Exception:
-            pass
-        assert sum(s.accesses_pruned for s in tool.stats) == 0
-        # And the injected race is still caught.
-        assert tool.race_count > 0
-
-    def test_history_ablation_disables_pruning(self):
-        config = replace(
-            DEFAULT_CONFIG, static_prune=True, accessor_history=2
-        )
-        workload = get_pattern("ff-pipeline").workload
-        device = Device(SIM_GPU)
-        tool = device.add_tool(IGuard(config=config))
-        workload.run(device, workload.seeds[0])
-        assert sum(s.accesses_pruned for s in tool.stats) == 0
-        assert sum(s.accesses_checked for s in tool.stats) > 0
-
-    def test_batched_sharded_driver_refuses_pruning(self):
-        from repro.core.sharding import BatchShardedIGuard
-
-        assert not BatchShardedIGuard.static_prune_supported
-        workload = get_pattern("ff-pipeline").workload
-        device = Device(SIM_GPU)
-        tool = device.add_tool(
-            BatchShardedIGuard(config=PRUNE_CONFIG, shards=2)
-        )
-        workload.run(device, workload.seeds[0])
-        assert sum(s.accesses_pruned for s in tool.stats) == 0
-
-
-# ---------------------------------------------------------------------------
 # Lint document plumbing
 # ---------------------------------------------------------------------------
 
@@ -317,24 +191,3 @@ class TestSoundness:
             assert lint.allows_dynamic_site(ip), (
                 f"dynamic race at {ip} outside the static may-race set"
             )
-
-    @settings(max_examples=10, deadline=None)
-    @given(program_seed=st.integers(min_value=0, max_value=10_000))
-    def test_pruned_run_matches_unpruned(self, program_seed):
-        statements = gen_program(SplitMix64(program_seed))
-        workload = program_workload(statements)
-
-        def run(config):
-            device = Device(SIM_GPU)
-            tool = device.add_tool(IGuard(config=config))
-            workload.run(device, 0)
-            sites = sorted(
-                (str(ip), str(t)) for ip, t in tool.races.sites()
-            )
-            timing = [
-                (r.timing.native_time, r.timing.total_time)
-                for r in device.runs
-            ]
-            return sites, timing
-
-        assert run(DEFAULT_CONFIG) == run(PRUNE_CONFIG)

@@ -395,3 +395,11 @@ class TestScoRDMode:
                         config=config)
         assert det.race_count == 1
         assert types_of(det) == {RaceType.ATOMIC_SCOPE}
+
+
+class TestDefaultArgumentHygiene:
+    def test_cost_objects_not_shared_between_detectors(self):
+        a, b = IGuard(), IGuard()
+        assert a.costs is not b.costs
+        assert a.contention_params is not b.contention_params
+        assert a.uvm_params is not b.uvm_params

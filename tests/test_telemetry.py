@@ -1,5 +1,5 @@
 """Tests for the live telemetry pipeline: sampler, exposition, watchdog,
-heartbeats, and the per-phase sampling profiler.
+and heartbeats.
 
 The pipeline is a *pure reader* of the metrics registry and the
 supervisor's heartbeat channel — nothing here may perturb detection.
@@ -7,14 +7,13 @@ The byte-identity test at the bottom (and the CI ``telemetry`` job)
 enforces that; the rest pins the formats downstream tooling scrapes:
 the delta-encoded ``telemetry.jsonl`` series, the OpenMetrics ``/metrics``
 payload (golden fixture + exact parse round-trip), the ``/healthz``
-verdict, and the collapsed-stack attribution files.
+verdict.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import threading
 import time
 import urllib.request
 from pathlib import Path
@@ -24,7 +23,6 @@ import pytest
 from benchmarks.validate_schema import validate
 from repro.obs import metrics as obs_metrics
 from repro.obs import openmetrics
-from repro.obs import profiler as obs_profiler
 from repro.obs import telemetry
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.openmetrics import (
@@ -434,17 +432,6 @@ class TestWatchdog:
         (finding,) = wd.observe(_sample(), [], totals)
         assert finding.rule == "shard_imbalance"
 
-    def test_fastpath_churn(self):
-        wd = Watchdog(WatchdogConfig(churn_ratio=0.5, churn_min_decisions=8))
-        totals = {
-            "detector.fastpath.auto_kept": {"type": "counter", "value": 2},
-            "detector.fastpath.auto_disabled": {"type": "counter",
-                                                "value": 8},
-        }
-        (finding,) = wd.observe(_sample(), [], totals)
-        assert finding.rule == "fastpath_churn"
-        assert finding.detail["disabled"] == 8
-
     def test_retry_burn_scales_to_per_minute(self):
         wd = Watchdog(WatchdogConfig(retries_per_min=6.0))
         # 1 retry in a 1s window = 60/min: burning.
@@ -459,9 +446,9 @@ class TestWatchdog:
         ) == []
 
     def test_config_from_env_spec(self):
-        cfg = WatchdogConfig.from_env("stall_s=2.5,churn_ratio=0.9")
+        cfg = WatchdogConfig.from_env("stall_s=2.5,retries_per_min=0.9")
         assert cfg.stall_s == 2.5
-        assert cfg.churn_ratio == 0.9
+        assert cfg.retries_per_min == 0.9
         assert cfg.imbalance_ratio == WatchdogConfig().imbalance_ratio
 
     def test_health_block_shape(self):
@@ -474,92 +461,6 @@ class TestWatchdog:
         assert block["rules"]["stall_s"] == 1.0
         assert block["findings"][0]["rule"] == "worker_stall"
         assert json.dumps(block)  # machine-readable: JSON-serializable
-
-
-# ---------------------------------------------------------------------------
-# Per-phase sampling profiler
-# ---------------------------------------------------------------------------
-
-
-def _spin_in_phase(prof, name, stop):
-    """A worker that burns CPU inside a profiler phase until told to stop."""
-    prof.push_phase(name)
-    try:
-        while not stop.is_set():
-            math.sqrt(12345.0)
-    finally:
-        prof.pop_phase()
-
-
-class TestProfiler:
-    def _sample_worker(self, prof, name, want=3):
-        """Sample a spinning phase-scoped worker from this thread."""
-        stop = threading.Event()
-        worker = threading.Thread(target=_spin_in_phase,
-                                  args=(prof, name, stop))
-        worker.start()
-        try:
-            hits, deadline = 0, time.time() + 5.0
-            while hits < want and time.time() < deadline:
-                hits += prof.sample_once()
-                time.sleep(0.002)
-        finally:
-            stop.set()
-            worker.join()
-        return hits
-
-    def test_phase_scoped_attribution(self):
-        prof = obs_profiler.SamplingProfiler(interval=0.01)
-        hits = self._sample_worker(prof, "bench:spin")
-        attribution = prof.attribution()
-        assert hits >= 3
-        assert attribution["samples"] >= 3
-        assert set(attribution["phases"]) == {"bench:spin"}
-        phase = attribution["phases"]["bench:spin"]
-        assert phase["share"] == pytest.approx(1.0)
-        assert phase["seconds"] == pytest.approx(
-            phase["samples"] * prof.interval
-        )
-
-    def test_unphased_threads_are_ignored(self):
-        prof = obs_profiler.SamplingProfiler(interval=0.01)
-        assert prof.sample_once() == 0
-        assert prof.attribution()["phases"] == {}
-
-    def test_collapsed_stack_format(self, tmp_path):
-        prof = obs_profiler.SamplingProfiler(interval=0.01)
-        self._sample_worker(prof, "bench:fmt")
-        out = tmp_path / "flame.collapsed"
-        prof.write_collapsed(out)
-        lines = out.read_text().splitlines()
-        assert lines, "sampling a spinning phase must record stacks"
-        for line in lines:
-            stack, count = line.rsplit(" ", 1)
-            assert stack.startswith("bench:fmt")
-            assert int(count) >= 1
-
-    def test_phase_contextmanager_nests(self):
-        prof = obs_profiler.SamplingProfiler(interval=0.01)
-        obs_profiler._PROFILER = prof
-        try:
-            with obs_profiler.phase("outer"):
-                with obs_profiler.phase("inner"):
-                    assert prof.current_phase() == "inner"
-                assert prof.current_phase() == "outer"
-            assert prof.current_phase() == "(unattributed)"
-        finally:
-            obs_profiler._PROFILER = None
-
-    def test_start_stop_background_thread(self):
-        prof = obs_profiler.start_profiler(interval=0.005)
-        try:
-            with obs_profiler.phase("bench:bg"):
-                time.sleep(0.05)
-        finally:
-            obs_profiler.stop_profiler()
-        assert prof.attribution()["phases"].get("bench:bg", {}).get(
-            "samples", 0
-        ) > 0
 
 
 # ---------------------------------------------------------------------------
