@@ -8,7 +8,7 @@ Useful for keeping the simulator usable as it grows.
 
 from repro.core import IGuard
 from repro.core.config import IGuardConfig
-from repro.core.metadata import MetadataEntry, MetadataTable
+from repro.core.metadata import DECODE_MD, SET_ACCESSOR, SET_WRITER, MetadataTable
 from repro.gpu.arch import TEST_GPU
 from repro.gpu.device import Device
 from repro.gpu.instructions import atomic_add, load, store, syncthreads
@@ -44,17 +44,15 @@ def test_detector_without_coalescing(benchmark):
 
 def test_metadata_pack_unpack(benchmark):
     def pack_many():
-        entry = MetadataEntry()
+        acc = wr = 0
         for i in range(500):
-            entry.set_accessor(tag=i, warp_id=i, lane=i % 32, dev_fence=i,
-                               blk_fence=i, blk_bar=i, warp_bar=i)
-            entry.set_writer(warp_id=i, lane=i % 32, dev_fence=i, blk_fence=i,
-                             blk_bar=i, warp_bar=i, locks=i)
-            view = entry.last_accessor
-        return view
+            acc = SET_ACCESSOR(acc, i, 1, i, i % 32, i, i, i, i)
+            wr = SET_WRITER(wr, i, i, i % 32, i, i, i, i)
+            fields = DECODE_MD(acc)
+        return fields
 
-    view = benchmark(pack_many)
-    assert view.lane == 499 % 32
+    warp, lane = benchmark(pack_many)[:2]
+    assert (warp, lane) == (499, 499 % 32)
 
 
 def test_metadata_table_lookup(benchmark):

@@ -112,7 +112,7 @@ class Barracuda(Tool):
     # Delegation / report plumbing
     # ------------------------------------------------------------------
 
-    def _report_sink(self, record, md) -> bool:
+    def _report_sink(self, record) -> bool:
         return self.races.report(record)
 
     def _shard_of(self, address: int) -> int:

@@ -61,7 +61,7 @@ class FastTrack(Tool):
         for core in self.cores:
             core.report_sink = self._report_sink
 
-    def _report_sink(self, record, md) -> bool:
+    def _report_sink(self, record) -> bool:
         return self.races.report(record)
 
     def _shard_of(self, address: int) -> int:

@@ -168,7 +168,7 @@ class IGuard(Tool):
         for core in self.cores:
             core.probe = probe
 
-    def _report_sink(self, record, md) -> bool:
+    def _report_sink(self, record) -> bool:
         """Shared race log across all shards, preserving serial order.
 
         Cores run inline in event order, so records arrive here exactly

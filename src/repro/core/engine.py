@@ -29,7 +29,12 @@ Two core families are provided:
 - :class:`IGuardCore` — the paper's Table 2 two-tier state machine
   (metadata entries, lock inference, scoped checks).  Every access that
   coalescing does not skip runs the full check through one path,
-  :meth:`IGuardCore.check_memory`.  ``IGuard`` and ``ScoRD`` ride it.
+  :meth:`IGuardCore.check_memory`, in one pass over plain ints: read the
+  entry's two 64-bit words, update the sharing flags with masks, run
+  P1-P6 (and R1-R5 only when they all fail) from
+  :mod:`repro.core.checks` on the words and the live counters, and write
+  both words back with the compiled setters.  ``IGuard`` and ``ScoRD``
+  ride it.
 - :class:`HBCore` — the FastTrack-style happens-before engine (per-thread
   vector clocks, per-address access histories, release/acquire through
   atomic locations).  ``Barracuda``, ``CURD`` and the pure
@@ -43,9 +48,22 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional
 
 from repro.baselines.vectorclock import AccessHistory, VectorClock
-from repro.core.checks import CurrentAccess, preliminary_checks, race_checks, select_md
+from repro.core.checks import md_word, preliminary_checks, race_checks
 from repro.core.config import IGuardConfig
-from repro.core.metadata import AccessorView, MetadataTable
+from repro.core.metadata import (
+    ATOMIC,
+    BLK_SHARED,
+    DECODE_MD,
+    DEV_SHARED,
+    GET_LOCKS,
+    GET_WARP_ID,
+    MODIFIED,
+    SCOPE,
+    SET_ACCESSOR,
+    SET_WRITER,
+    VALID,
+    MetadataTable,
+)
 from repro.core.report import RaceLog, RaceRecord, RaceType
 from repro.core.syncstate import SyncMetadata
 from repro.faults.quarantine import poison as _poison
@@ -100,10 +118,10 @@ class LaunchStats:
     metadata_entries: int = 0
 
 
-#: A report sink: receives ``(record, md_view)`` and returns whether the
-#: record's *site* was new.  Adapters install one so every core of a shard
-#: group reports through the shared race log / forensic probe / stats.
-ReportSink = Callable[[RaceRecord, object], bool]
+#: A report sink: receives a race record and returns whether the record's
+#: *site* was new.  Adapters install one so every core of a shard group
+#: reports through the shared race log / forensic probe / stats.
+ReportSink = Callable[[RaceRecord], bool]
 
 
 class DetectorCore:
@@ -236,10 +254,10 @@ class DetectorCore:
 
     # -- report plumbing ---------------------------------------------------
 
-    def emit(self, record: RaceRecord, md=None) -> bool:
+    def emit(self, record: RaceRecord) -> bool:
         """Report a race record; returns whether its site was new."""
         if self.report_sink is not None:
-            return self.report_sink(record, md)
+            return self.report_sink(record)
         return self.races.report(record)
 
 
@@ -294,6 +312,7 @@ class IGuardCore(DetectorCore):
         #: only while metrics are enabled, to count 16-bit Bloom filter
         #: false positives (filters intersect, true lock sets disjoint).
         self._writer_lock_truth: Dict[int, frozenset] = {}
+        self.table.on_evict = self._forget_granule
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -408,197 +427,197 @@ class IGuardCore(DetectorCore):
     ) -> None:
         """The Table 2 two-tier check + metadata writeback for one access.
 
-        The adapter has already paid the access's overhead cycles (UVM
-        residency, contention stalls, ``check_per_access``); this method
-        is pure detection state.
+        One pass over plain ints: both metadata words are read once, the
+        sharing flags are updated with masks, P1-P6 (and, only when they
+        all fail, R1-R5) run on the words, and both words are written
+        back with the compiled setters.  The adapter has already paid the
+        access's overhead cycles (UVM residency, contention stalls,
+        ``check_per_access``); this method is pure detection state.
         """
         config = self.config
         where = event.where
         thread = where.thread_key
+        warp = where.warp_id
+        block = where.block_id
         if stats is not None:
             stats.accesses_checked += 1
-        if HOT.enabled:
+        hot = HOT.enabled
+        if hot:
             HOT.detector_checked.inc()
 
-        entry = self.table.lookup_granule(granule)
-        if self.probe is not None:
-            self.probe.on_check(
-                event, granule, entry.accessor_word, entry.writer_word
-            )
+        entry = self.table.entries.get(granule)
+        if entry is None:
+            entry = self.table.lookup_granule(granule)
+        acc = entry.accessor_word
+        wr = entry.writer_word
+        probe = self.probe
+        if probe is not None:
+            probe.on_check(event, granule, acc, wr)
 
-        tag = self.table.tag_of_granule(granule)
+        sync = self.sync
         wpb = launch.warps_per_block
-
-        locks_bloom = self.sync.lock_table_for(
-            where.warp_id, thread
-        ).locks_bloom_int()
-        curr = CurrentAccess(
-            kind=event.kind,
-            warp_id=where.warp_id,
-            lane=where.lane,
-            block_id=where.block_id,
-            active_mask=event.active_mask,
-            locks_bloom=locks_bloom,
-        )
+        # sm.Locks: the lock table the current thread consults, and its
+        # cached Bloom summary (rebuilt only after a lock-table mutation).
+        table = sync.warp_locks.get(warp)
+        if table is not None and table.is_thread:
+            table = sync.thread_locks.get(thread)
+        if table is None:
+            table = sync.lock_table_for(warp, thread)
+        locks = table.cached_bloom
+        if locks is None:
+            locks = table.locks_bloom_int()
+        kind = event.kind
+        is_load = kind is AccessKind.LOAD
 
         # Update the sharing flags from the last accessor before checking
         # (section 6.2): they encode whether this granule has ever been
         # shared across warps or threadblocks.
-        if entry.valid:
-            last = entry.last_accessor
-            if last.block_id(wpb) != curr.block_id:
-                entry.set_flag("DevShared", True)
-            elif last.warp_id != curr.warp_id:
-                entry.set_flag("BlkShared", True)
+        if acc & VALID:
+            last_warp = GET_WARP_ID(acc)
+            if last_warp // wpb != block:
+                acc = entry.accessor_word = acc | DEV_SHARED
+            elif last_warp != warp:
+                acc = entry.accessor_word = acc | BLK_SHARED
 
-        md = select_md(entry, curr)
+        lane = where.lane
+        md = md_word(acc, wr, is_load)
         passed = preliminary_checks(
-            curr, entry, md, self.sync, wpb, its_support=config.its_support
+            acc, md, is_load, kind is AccessKind.ATOMIC, warp, lane, block,
+            event.active_mask, sync, wpb, config.its_support,
         )
         race_type = None
         if passed is not None:
             if stats is not None:
                 counts = stats.preliminary_pass
                 counts[passed] = counts.get(passed, 0) + 1
-            if HOT.enabled:
+            if hot:
                 HOT.detector_prelim_pass.inc()
         else:
-            if HOT.enabled:
-                HOT.detector_race_tier.inc()
-            race_type = race_checks(
-                curr,
-                entry,
-                md,
-                self.sync,
-                wpb,
-                its_support=config.its_support,
-                lockset=config.lockset,
+            race_type = self._race_tier(
+                acc, wr, md, event, granule, launch, locks, table
             )
-            if race_type is not None:
-                self.report_race(race_type, event, md, launch, granule)
-            elif (
-                HOT.enabled
-                and config.lockset
-                and md.locks
-                and (md.locks & locks_bloom)
-            ):
-                # R5 stayed quiet because the 16-bit Bloom summaries
-                # intersect; if the underlying lock-hash sets are in fact
-                # disjoint, that intersection is a filter false positive
-                # (a missed R5 report, the aliasing cost of section 6.3).
-                truth = self._writer_lock_truth.get(granule)
-                if truth is not None and truth.isdisjoint(
-                    self.sync.lock_table_for(
-                        where.warp_id, thread
-                    ).held_hashes()
-                ):
-                    HOT.detector_bloom_fp.inc()
 
         # Section 6.7 ablation: also compare against older accessors when
         # a history depth beyond the packed entry is configured.
         if config.accessor_history > 1:
-            self._check_history(curr, entry, event, granule, launch, wpb)
+            self._check_history(acc, wr, event, granule, launch, locks)
 
-        self._write_back(entry, tag, curr, event, thread, locks_bloom)
-        if HOT.enabled and event.is_write:
-            self._writer_lock_truth[granule] = frozenset(
-                self.sync.lock_table_for(where.warp_id, thread).held_hashes()
+        # Write back (section 6.2): the current access becomes the last
+        # accessor (and, for stores/atomics, the last writer).  The
+        # setter truncates the granule index to its 10-bit Tag.
+        dev_fence = sync.dev_fences.get(thread, 0)
+        blk_fence = sync.blk_fences.get(thread, 0)
+        blk_bar = sync.blk_bars.get(block, 0)
+        warp_bar = sync.warp_bars.get(warp, 0)
+        acc = SET_ACCESSOR(
+            acc, granule, 1, warp, lane, dev_fence, blk_fence, blk_bar, warp_bar
+        )
+        if not is_load:
+            wr = entry.writer_word = SET_WRITER(
+                wr, locks, warp, lane, dev_fence, blk_fence, blk_bar, warp_bar
             )
+            if kind is AccessKind.ATOMIC:
+                acc |= MODIFIED | ATOMIC
+                if scope_covers(event.scope, Scope.DEVICE):
+                    acc &= ~SCOPE
+                else:
+                    acc |= SCOPE
+            else:
+                acc = (acc | MODIFIED) & ~(ATOMIC | SCOPE)
+        entry.accessor_word = acc
+        if hot and not is_load:
+            self._writer_lock_truth[granule] = frozenset(table.held_hashes())
         if config.accessor_history > 1:
-            self._record_history(granule, curr, event, thread, locks_bloom)
-
-        if self.probe is not None:
-            self.probe.on_outcome(
-                event, granule, passed, race_type,
-                entry.accessor_word, entry.writer_word,
+            self._record_history(
+                granule,
+                SET_WRITER(
+                    0, locks, warp, lane, dev_fence, blk_fence, blk_bar,
+                    warp_bar,
+                ),
+                not is_load,
             )
+
+        if probe is not None:
+            probe.on_outcome(event, granule, passed, race_type, acc, wr)
+
+    def _race_tier(self, acc, wr, md, event, granule, launch, locks, table):
+        """R1-R5 for an access every preliminary check failed on."""
+        config = self.config
+        where = event.where
+        if HOT.enabled:
+            HOT.detector_race_tier.inc()
+        race_type = race_checks(
+            acc, wr, md, where.warp_id, where.block_id, locks, self.sync,
+            launch.warps_per_block, config.its_support, config.lockset,
+        )
+        if race_type is not None:
+            self.report_race(race_type, event, md, launch, granule)
+        elif HOT.enabled and config.lockset and GET_LOCKS(md) & locks:
+            # R5 stayed quiet because the 16-bit Bloom summaries
+            # intersect; if the underlying lock-hash sets are in fact
+            # disjoint, that intersection is a filter false positive (a
+            # missed R5 report, the aliasing cost of section 6.3).
+            truth = self._writer_lock_truth.get(granule)
+            if truth is not None and truth.isdisjoint(table.held_hashes()):
+                HOT.detector_bloom_fp.inc()
+        return race_type
 
     # -- accessor-history ablation (section 6.7) ---------------------------
 
-    def _check_history(self, curr, entry, event, granule, launch, wpb) -> None:
-        """Check the current access against every remembered accessor."""
+    def _check_history(self, acc, wr, event, granule, launch, locks) -> None:
+        """Check the current access against every remembered accessor.
+
+        Each remembered accessor is a word in the writer layout (identity,
+        sync snapshot and lock summary), checked as ``md`` against the
+        entry's current flags through the same Table 2 code.
+        """
         history = self._history.get(granule)
         if not history:
             return
         config = self.config
-        for view, was_write in history:
-            if not (event.is_write or was_write):
+        where = event.where
+        is_load = event.kind is AccessKind.LOAD
+        is_atomic = event.kind is AccessKind.ATOMIC
+        wpb = launch.warps_per_block
+        for md, was_write in history:
+            if is_load and not was_write:
                 continue  # two reads cannot race
             launch.timing.charge(
                 Category.DETECTION, self.costs.check_per_access / 2
             )
             passed = preliminary_checks(
-                curr, entry, view, self.sync, wpb,
-                its_support=config.its_support,
+                acc, md, is_load, is_atomic, where.warp_id, where.lane,
+                where.block_id, event.active_mask, self.sync, wpb,
+                config.its_support,
             )
             if passed is not None:
                 continue
             race_type = race_checks(
-                curr, entry, view, self.sync, wpb,
-                its_support=config.its_support, lockset=config.lockset,
+                acc, wr, md, where.warp_id, where.block_id, locks, self.sync,
+                wpb, config.its_support, config.lockset,
             )
             if race_type is not None:
-                self.report_race(race_type, event, view, launch, granule)
+                self.report_race(race_type, event, md, launch, granule)
 
-    def _record_history(self, granule, curr, event, thread, locks_bloom) -> None:
+    def _record_history(self, granule: int, md: int, is_write: bool) -> None:
         history = self._history.get(granule)
         if history is None:
             history = deque(maxlen=self.config.accessor_history)
             self._history[granule] = history
-        view = AccessorView(
-            warp_id=curr.warp_id,
-            lane=curr.lane,
-            dev_fence=self.sync.dev_fence(thread),
-            blk_fence=self.sync.blk_fence(thread),
-            blk_bar=self.sync.blk_bar(curr.block_id),
-            warp_bar=self.sync.warp_bar(curr.warp_id),
-            locks=locks_bloom,
-        )
-        history.append((view, event.is_write))
+        history.append((md, is_write))
 
-    def _write_back(
-        self, entry, tag: int, curr: CurrentAccess, event: MemoryEvent,
-        thread, locks_bloom: int,
-    ) -> None:
-        """Record the current access into the metadata entry (section 6.2)."""
-        dev_fence = self.sync.dev_fence(thread)
-        blk_fence = self.sync.blk_fence(thread)
-        blk_bar = self.sync.blk_bar(curr.block_id)
-        warp_bar = self.sync.warp_bar(curr.warp_id)
-
-        entry.set_accessor(
-            tag=tag,
-            warp_id=curr.warp_id,
-            lane=curr.lane,
-            dev_fence=dev_fence,
-            blk_fence=blk_fence,
-            blk_bar=blk_bar,
-            warp_bar=warp_bar,
-        )
-        if event.is_write:
-            entry.set_writer(
-                warp_id=curr.warp_id,
-                lane=curr.lane,
-                dev_fence=dev_fence,
-                blk_fence=blk_fence,
-                blk_bar=blk_bar,
-                warp_bar=warp_bar,
-                locks=locks_bloom,
-            )
-            entry.set_flag("Modified", True)
-            if event.kind is AccessKind.ATOMIC:
-                entry.set_flag("Atomic", True)
-                entry.set_flag(
-                    "Scope", not scope_covers(event.scope, Scope.DEVICE)
-                )
-            else:
-                entry.set_flag("Atomic", False)
-                entry.set_flag("Scope", False)
+    def _forget_granule(self, granule: int) -> None:
+        """The metadata table evicted ``granule``: drop its side state too,
+        so a re-admitted granule starts with no history (eviction forgets)."""
+        self._history.pop(granule, None)
+        self._writer_lock_truth.pop(granule, None)
 
     def report_race(
-        self, race_type, event: MemoryEvent, md, launch, granule: int
+        self, race_type, event: MemoryEvent, md: int, launch, granule: int
     ) -> None:
+        """Report a race against ``md``, the previous access's word."""
         where = event.where
+        prev_warp_id, prev_lane = DECODE_MD(md)[:2]
         record = RaceRecord(
             race_type=race_type,
             kernel=launch.kernel_name,
@@ -609,8 +628,8 @@ class IGuardCore(DetectorCore):
             warp_id=where.warp_id,
             lane=where.lane,
             block_id=where.block_id,
-            prev_warp_id=md.warp_id,
-            prev_lane=md.lane,
+            prev_warp_id=prev_warp_id,
+            prev_lane=prev_lane,
             launch_index=self.launch_index,
             batch=event.batch,
             granule=granule,
@@ -618,8 +637,8 @@ class IGuardCore(DetectorCore):
         if HOT.enabled:
             HOT.detector_races.inc()
         if self.probe is not None:
-            self.probe.on_race(record, md)
-        self.emit(record, md)
+            self.probe.on_race(record)
+        self.emit(record)
 
 
 # ---------------------------------------------------------------------------
@@ -884,4 +903,4 @@ class HBCore(DetectorCore):
         )
         if HOT.enabled:
             HOT.detector_races.inc()
-        self.emit(record, None)
+        self.emit(record)

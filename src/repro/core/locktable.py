@@ -61,11 +61,12 @@ class LockTable:
         #: How many inserts were dropped because the table was full; the
         #: paper sizes the table at 3 and found it sufficient in practice.
         self.overflows = 0
-        #: Packed Bloom summary of held locks, rebuilt lazily after any
-        #: mutation.  The detector reads the summary once per checked
-        #: access, while the table changes only on acquire/fence/release —
-        #: the cache turns the common read into one attribute load.
-        self._bloom_int: Optional[int] = None
+        #: Packed Bloom summary of held locks, or None after a mutation
+        #: until :meth:`locks_bloom_int` rebuilds it.  The check core reads
+        #: the summary once per checked access, while the table changes
+        #: only on acquire/fence/release — the cache turns the common read
+        #: into one attribute load.
+        self.cached_bloom: Optional[int] = None
 
     # ------------------------------------------------------------------
 
@@ -85,7 +86,7 @@ class LockTable:
                 entry.active = False
                 entry.scope = scope.effective
                 entry.addr_hash = addr_hash
-                self._bloom_int = None
+                self.cached_bloom = None
                 return True
         self.overflows += 1
         return False
@@ -105,7 +106,7 @@ class LockTable:
                     entry.active = True
                     activated += 1
         if activated:
-            self._bloom_int = None
+            self.cached_bloom = None
         return activated
 
     def release(self, lock_address: int, scope: Scope) -> bool:
@@ -115,7 +116,7 @@ class LockTable:
             if entry.matches(addr_hash, scope):
                 entry.valid = False
                 entry.active = False
-                self._bloom_int = None
+                self.cached_bloom = None
                 return True
         return False
 
@@ -131,9 +132,9 @@ class LockTable:
 
     def locks_bloom_int(self) -> int:
         """``int(locks_bloom())`` served from the post-mutation cache."""
-        value = self._bloom_int
+        value = self.cached_bloom
         if value is None:
-            value = self._bloom_int = int(BloomFilter16.of(self.held_hashes()))
+            value = self.cached_bloom = int(BloomFilter16.of(self.held_hashes()))
         return value
 
     def holds_any(self) -> bool:

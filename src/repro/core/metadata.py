@@ -25,12 +25,9 @@ narrow on purpose — they wrap exactly as the paper's do (section 6.7).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.common.bitfield import BitField, BitStruct
-from repro.gpu.ids import block_of_warp
 from repro.obs.metrics import HOT
 
 #: The last-accessor word (Figure 4, top row).
@@ -78,75 +75,41 @@ WARP_BAR_BITS = ACCESSOR_WORD.field("WarpBarID").width  # 6
 TAG_BITS = ACCESSOR_WORD.field("Tag").width  # 10
 
 # ---------------------------------------------------------------------------
-# Compiled fast codec: every mask/shift baked into one closure per touch.
-# The reference field-by-field path (BitStruct.get/set) stays the ground
-# truth; the property tests assert both paths agree bit for bit.
+# Word-level codec for the check core.  Every mask/shift is baked into a
+# compiled closure or a module constant, so one access decodes, checks and
+# writes back on plain ints.  The reference field-by-field path
+# (BitStruct.get/set) stays the ground truth; the property tests assert
+# both paths agree bit for bit.
 # ---------------------------------------------------------------------------
 
-#: Flag masks for single-bit tests without field lookups.
-_VALID_MASK = ACCESSOR_WORD.field("Valid").mask
-_MODIFIED_MASK = ACCESSOR_WORD.field("Modified").mask
-_ATOMIC_MASK = ACCESSOR_WORD.field("Atomic").mask
-_SCOPE_MASK = ACCESSOR_WORD.field("Scope").mask
-_DEV_SHARED_MASK = ACCESSOR_WORD.field("DevShared").mask
-_BLK_SHARED_MASK = ACCESSOR_WORD.field("BlkShared").mask
-_FLAG_MASKS = {
-    name: ACCESSOR_WORD.field(name).mask
-    for name in ("Valid", "Modified", "Atomic", "Scope", "DevShared", "BlkShared")
-}
+#: Single-bit flag masks of the accessor word.
+VALID = ACCESSOR_WORD.field("Valid").mask
+MODIFIED = ACCESSOR_WORD.field("Modified").mask
+ATOMIC = ACCESSOR_WORD.field("Atomic").mask
+SCOPE = ACCESSOR_WORD.field("Scope").mask  # 1: last atomic was block-scoped
+DEV_SHARED = ACCESSOR_WORD.field("DevShared").mask
+BLK_SHARED = ACCESSOR_WORD.field("BlkShared").mask
 
-_GET_TAG = ACCESSOR_WORD.compile_getter("Tag")
-_GET_WRITER_LOCKS = WRITER_WORD.compile_getter("Locks")
-
-#: Identity + sync snapshot, in AccessorView field order (sans locks).
-_VIEW_FIELDS = (
+#: The accessor's identity + sync snapshot.  Both words keep these fields
+#: at the same bits (45-0), which is what lets one decoder serve either.
+SNAPSHOT_FIELDS = (
     "WarpID", "ThreadID", "DevFenceID", "BlkFenceID", "BlkBarID", "WarpBarID"
 )
-_DECODE_ACCESSOR = ACCESSOR_WORD.compile_decoder(*_VIEW_FIELDS)
-_DECODE_WRITER = WRITER_WORD.compile_decoder(*_VIEW_FIELDS, "Locks")
+SNAPSHOT_MASK = sum(ACCESSOR_WORD.field(name).mask for name in SNAPSHOT_FIELDS)
+LOCKS_MASK = WRITER_WORD.field("Locks").mask
 
-_SET_ACCESSOR = ACCESSOR_WORD.compile_setter(
-    "Tag", "Valid", "WarpID", "ThreadID",
-    "DevFenceID", "BlkFenceID", "BlkBarID", "WarpBarID",
-)
-_SET_WRITER = WRITER_WORD.compile_setter(
-    "Locks", "WarpID", "ThreadID",
-    "DevFenceID", "BlkFenceID", "BlkBarID", "WarpBarID",
-)
+#: ``(warp, lane, dev_fence, blk_fence, blk_bar, warp_bar, locks)`` of a
+#: word in the writer layout (the first six hold for either word).
+DECODE_MD = WRITER_WORD.compile_decoder(*SNAPSHOT_FIELDS, "Locks")
+#: WarpID of either word.
+GET_WARP_ID = WRITER_WORD.compile_getter("WarpID")
+GET_LOCKS = WRITER_WORD.compile_getter("Locks")
 
-
-@dataclass(frozen=True, slots=True)
-class AccessorView:
-    """Unpacked identity + sync snapshot of one metadata word."""
-
-    warp_id: int
-    lane: int
-    dev_fence: int
-    blk_fence: int
-    blk_bar: int
-    warp_bar: int
-    locks: int = 0
-
-    def block_id(self, warps_per_block: int) -> int:
-        """The accessor's threadblock, derived from its warp ID."""
-        return block_of_warp(self.warp_id, warps_per_block)
-
-
-@lru_cache(maxsize=8192)
-def _accessor_view(word: int, locks: int) -> AccessorView:
-    """Decode-memo for last-accessor words.
-
-    Hot loops touch the same few granules over and over; the (word, locks)
-    pair fully determines the immutable view, so repeated touches share
-    one decoded instance instead of re-extracting seven fields.
-    """
-    return AccessorView(*_DECODE_ACCESSOR(word), locks)
-
-
-@lru_cache(maxsize=8192)
-def _writer_view(word: int) -> AccessorView:
-    """Decode-memo for last-writer words (locks live in the same word)."""
-    return AccessorView(*_DECODE_WRITER(word))
+#: ``SET_ACCESSOR(word, tag, valid, *snapshot)``: record an access in the
+#: accessor word, flags other than Valid kept.
+SET_ACCESSOR = ACCESSOR_WORD.compile_setter("Tag", "Valid", *SNAPSHOT_FIELDS)
+#: ``SET_WRITER(word, locks, *snapshot)``: record a write in the writer word.
+SET_WRITER = WRITER_WORD.compile_setter("Locks", *SNAPSHOT_FIELDS)
 
 
 class MetadataEntry:
@@ -157,90 +120,6 @@ class MetadataEntry:
     def __init__(self, accessor_word: int = 0, writer_word: int = 0):
         self.accessor_word = accessor_word
         self.writer_word = writer_word
-
-    # -- flags ---------------------------------------------------------
-
-    @property
-    def valid(self) -> bool:
-        return bool(self.accessor_word & _VALID_MASK)
-
-    @property
-    def modified(self) -> bool:
-        return bool(self.accessor_word & _MODIFIED_MASK)
-
-    @property
-    def atomic(self) -> bool:
-        return bool(self.accessor_word & _ATOMIC_MASK)
-
-    @property
-    def scope_is_block(self) -> bool:
-        """Scope flag: 1 if the last atomic used threadblock scope."""
-        return bool(self.accessor_word & _SCOPE_MASK)
-
-    @property
-    def dev_shared(self) -> bool:
-        return bool(self.accessor_word & _DEV_SHARED_MASK)
-
-    @property
-    def blk_shared(self) -> bool:
-        return bool(self.accessor_word & _BLK_SHARED_MASK)
-
-    @property
-    def tag(self) -> int:
-        return _GET_TAG(self.accessor_word)
-
-    def set_flag(self, name: str, value: bool) -> None:
-        mask = _FLAG_MASKS[name]
-        if value:
-            self.accessor_word |= mask
-        else:
-            self.accessor_word &= ~mask
-
-    # -- views -----------------------------------------------------------
-
-    @property
-    def last_accessor(self) -> AccessorView:
-        return _accessor_view(
-            self.accessor_word, _GET_WRITER_LOCKS(self.writer_word)
-        )
-
-    @property
-    def last_writer(self) -> AccessorView:
-        return _writer_view(self.writer_word)
-
-    # -- updates ---------------------------------------------------------
-
-    def set_accessor(
-        self,
-        tag: int,
-        warp_id: int,
-        lane: int,
-        dev_fence: int,
-        blk_fence: int,
-        blk_bar: int,
-        warp_bar: int,
-    ) -> None:
-        """Record the current access in the last-accessor word."""
-        self.accessor_word = _SET_ACCESSOR(
-            self.accessor_word,
-            tag, 1, warp_id, lane, dev_fence, blk_fence, blk_bar, warp_bar,
-        )
-
-    def set_writer(
-        self,
-        warp_id: int,
-        lane: int,
-        dev_fence: int,
-        blk_fence: int,
-        blk_bar: int,
-        warp_bar: int,
-        locks: int,
-    ) -> None:
-        """Record the current write in the last-writer word."""
-        self.writer_word = _SET_WRITER(
-            self.writer_word,
-            locks, warp_id, lane, dev_fence, blk_fence, blk_bar, warp_bar,
-        )
 
 
 class MetadataTable:
@@ -265,7 +144,12 @@ class MetadataTable:
         #: the evicted granule simply looks like a first access again.
         self.max_entries = max_entries
         self.evictions = 0
-        self._entries: Dict[int, MetadataEntry] = {}
+        #: Called with each evicted granule, so owners of per-granule side
+        #: state forget it together with the entry.
+        self.on_evict: Optional[Callable[[int], None]] = None
+        #: granule -> entry, in admission order.  The check core reads it
+        #: directly and calls :meth:`lookup_granule` only to admit a granule.
+        self.entries: Dict[int, MetadataEntry] = {}
         #: Power-of-two granularities (all the config allows) divide by a
         #: shift on the hot path; anything else falls back to division.
         self._granule_shift: Optional[int] = (
@@ -284,44 +168,43 @@ class MetadataTable:
         """The address tag stored to disambiguate granules (Figure 4)."""
         return self.granule_of(address) & ((1 << TAG_BITS) - 1)
 
-    def tag_of_granule(self, granule: int) -> int:
-        """``tag_of`` for callers that already hold the granule index."""
-        return granule & ((1 << TAG_BITS) - 1)
-
     def lookup(self, address: int) -> MetadataEntry:
         """Fetch (creating if absent) the entry shadowing ``address``."""
         return self.lookup_granule(self.granule_of(address))
 
     def lookup_granule(self, granule: int) -> MetadataEntry:
         """``lookup`` for callers that already hold the granule index."""
-        entry = self._entries.get(granule)
+        entry = self.entries.get(granule)
         if entry is None:
             if (
                 self.max_entries is not None
-                and len(self._entries) >= self.max_entries
+                and len(self.entries) >= self.max_entries
             ):
                 # FIFO eviction: dicts preserve insertion order, so the
                 # first key is the longest-resident granule.
-                self._entries.pop(next(iter(self._entries)))
+                victim = next(iter(self.entries))
+                del self.entries[victim]
                 self.evictions += 1
                 if HOT.enabled:
                     HOT.metadata_evictions.inc()
+                if self.on_evict is not None:
+                    self.on_evict(victim)
             entry = MetadataEntry()
-            self._entries[granule] = entry
+            self.entries[granule] = entry
         return entry
 
     def peek(self, address: int) -> Optional[MetadataEntry]:
         """Fetch the entry without creating it."""
-        return self._entries.get(self.granule_of(address))
+        return self.entries.get(self.granule_of(address))
 
     def clear(self) -> None:
         """Drop all entries (kernel boundary: implicit global barrier)."""
-        self._entries.clear()
+        self.entries.clear()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     @property
     def shadow_bytes(self) -> int:
         """Bytes of metadata materialized so far."""
-        return len(self._entries) * self.entry_bytes
+        return len(self.entries) * self.entry_bytes

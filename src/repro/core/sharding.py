@@ -160,7 +160,7 @@ class BatchShardedIGuard(IGuard):
         #: order-equivalent, and deferred records re-sort at launch end.
         self._pending = 0
 
-    def _report_sink(self, record, md) -> bool:
+    def _report_sink(self, record) -> bool:
         self._deferred.append(record)
         return True
 
@@ -238,7 +238,7 @@ class BatchShardedFastTrack(FastTrack):
         #: See BatchShardedIGuard._pending — bounded-queue backpressure.
         self._pending = 0
 
-    def _report_sink(self, record, md) -> bool:
+    def _report_sink(self, record) -> bool:
         self._deferred.append(record)
         return True
 
@@ -686,7 +686,7 @@ class _ShardReplicaIGuard(IGuard):
         #: Raw records for the parent's deterministic merge.
         self.collected: List[RaceRecord] = []
 
-    def _report_sink(self, record, md) -> bool:
+    def _report_sink(self, record) -> bool:
         self.collected.append(record)
         return True
 

@@ -38,49 +38,52 @@ class SyncMetadata:
 
     def __init__(self, lock_table_entries: int = 3):
         self.lock_table_entries = lock_table_entries
-        self._blk_bar: Dict[int, int] = {}
-        self._warp_bar: Dict[int, int] = {}
-        self._dev_fence: Dict[ThreadKey, int] = {}
-        self._blk_fence: Dict[ThreadKey, int] = {}
-        self._warp_locks: Dict[int, LockTable] = {}
-        self._thread_locks: Dict[ThreadKey, LockTable] = {}
+        # The counter and lock-table maps are public: the check core reads
+        # them directly (``.get(key, 0)``) instead of through the accessor
+        # methods below, one dict lookup per counter per access.
+        self.blk_bars: Dict[int, int] = {}
+        self.warp_bars: Dict[int, int] = {}
+        self.dev_fences: Dict[ThreadKey, int] = {}
+        self.blk_fences: Dict[ThreadKey, int] = {}
+        self.warp_locks: Dict[int, LockTable] = {}
+        self.thread_locks: Dict[ThreadKey, LockTable] = {}
 
     # -- counters ---------------------------------------------------------
 
     def blk_bar(self, block_id: int) -> int:
         """Current threadblock barrier counter (8-bit, wrapping)."""
-        return self._blk_bar.get(block_id, 0)
+        return self.blk_bars.get(block_id, 0)
 
     def warp_bar(self, warp_id: int) -> int:
         """Current warp barrier counter (6-bit, wrapping)."""
-        return self._warp_bar.get(warp_id, 0)
+        return self.warp_bars.get(warp_id, 0)
 
     def dev_fence(self, thread: ThreadKey) -> int:
         """Current device-scope fence counter of a thread (6-bit)."""
-        return self._dev_fence.get(thread, 0)
+        return self.dev_fences.get(thread, 0)
 
     def blk_fence(self, thread: ThreadKey) -> int:
         """Current block-scope fence counter of a thread (6-bit)."""
-        return self._blk_fence.get(thread, 0)
+        return self.blk_fences.get(thread, 0)
 
     def on_syncthreads(self, block_id: int) -> None:
         """A threadblock barrier completed: bump the block's counter."""
-        self._blk_bar[block_id] = (self.blk_bar(block_id) + 1) % (1 << BLK_BAR_BITS)
+        self.blk_bars[block_id] = (self.blk_bar(block_id) + 1) % (1 << BLK_BAR_BITS)
 
     def on_syncwarp(self, warp_id: int) -> None:
         """A warp barrier completed: bump the warp's counter."""
-        self._warp_bar[warp_id] = (self.warp_bar(warp_id) + 1) % (
+        self.warp_bars[warp_id] = (self.warp_bar(warp_id) + 1) % (
             1 << WARP_BAR_BITS
         )
 
     def on_fence(self, thread: ThreadKey, scope: Scope) -> None:
         """A thread executed a scoped threadfence: bump its counter."""
         if scope_covers(scope, Scope.DEVICE):
-            self._dev_fence[thread] = (self.dev_fence(thread) + 1) % (
+            self.dev_fences[thread] = (self.dev_fence(thread) + 1) % (
                 1 << DEV_FENCE_BITS
             )
         else:
-            self._blk_fence[thread] = (self.blk_fence(thread) + 1) % (
+            self.blk_fences[thread] = (self.blk_fence(thread) + 1) % (
                 1 << BLK_FENCE_BITS
             )
 
@@ -88,18 +91,18 @@ class SyncMetadata:
 
     def warp_lock_table(self, warp_id: int) -> LockTable:
         """The per-warp lock table (created on first use)."""
-        table = self._warp_locks.get(warp_id)
+        table = self.warp_locks.get(warp_id)
         if table is None:
             table = LockTable(self.lock_table_entries)
-            self._warp_locks[warp_id] = table
+            self.warp_locks[warp_id] = table
         return table
 
     def thread_lock_table(self, thread: ThreadKey) -> LockTable:
         """The per-thread lock table (created on first use)."""
-        table = self._thread_locks.get(thread)
+        table = self.thread_locks.get(thread)
         if table is None:
             table = LockTable(self.lock_table_entries)
-            self._thread_locks[thread] = table
+            self.thread_locks[thread] = table
         return table
 
     def lock_table_for(self, warp_id: int, thread: ThreadKey) -> LockTable:
@@ -119,10 +122,10 @@ class SyncMetadata:
     def approximate_bytes(self) -> int:
         """Rough footprint, for the paper's "~2 MB" accounting."""
         counters = (
-            len(self._blk_bar)
-            + len(self._warp_bar)
-            + len(self._dev_fence)
-            + len(self._blk_fence)
+            len(self.blk_bars)
+            + len(self.warp_bars)
+            + len(self.dev_fences)
+            + len(self.blk_fences)
         )
-        tables = len(self._warp_locks) + len(self._thread_locks)
+        tables = len(self.warp_locks) + len(self.thread_locks)
         return counters + tables * self.lock_table_entries * 8

@@ -147,7 +147,7 @@ class ForensicProbe:
         #: Last access per granule, for naming the racing pair's other half.
         self._last_access: Dict[int, WindowEntry] = {}
         #: Race(s) reported by the check currently in flight.
-        self._pending: List[Tuple[RaceRecord, object]] = []
+        self._pending: List[RaceRecord] = []
         self._pre_words: Dict[int, Tuple[int, int]] = {}
 
     # -- detector hooks -------------------------------------------------
@@ -169,9 +169,9 @@ class ForensicProbe:
             batch=event.batch,
         ))
 
-    def on_race(self, record: RaceRecord, md) -> None:
-        """Called by the detector's ``_report`` for every dynamic race."""
-        self._pending.append((record, md))
+    def on_race(self, record: RaceRecord) -> None:
+        """Called by the detector's ``report_race`` for every dynamic race."""
+        self._pending.append(record)
 
     def on_outcome(
         self,
@@ -200,7 +200,7 @@ class ForensicProbe:
             writer_after=writer_word,
             outcome=outcome,
         ))
-        for record, md in self._pending:
+        for record in self._pending:
             if self.site and self.site not in record.ip:
                 continue
             previous = self._last_access.get(granule)

@@ -6,16 +6,28 @@ which race condition fires — the closest thing to testing the paper's
 table line by line.
 """
 
-import pytest
+from typing import FrozenSet, NamedTuple
 
-from repro.core.checks import CurrentAccess, preliminary_checks, race_checks, select_md
-from repro.core.metadata import MetadataEntry
+from repro.core.checks import md_word, preliminary_checks, race_checks
+from repro.core.metadata import (
+    ATOMIC,
+    BLK_SHARED,
+    DECODE_MD,
+    DEV_SHARED,
+    MODIFIED,
+    SCOPE,
+    SET_ACCESSOR,
+    SET_WRITER,
+)
 from repro.core.report import RaceType
 from repro.core.syncstate import SyncMetadata
 from repro.gpu.events import AccessKind
 from repro.gpu.instructions import Scope
 
 WPB = 2  # warps per block used throughout
+
+#: A never-touched granule: both words zero, so Valid is clear.
+EMPTY = (0, 0)
 
 
 def make_entry(
@@ -32,73 +44,92 @@ def make_entry(
     blk_shared=False,
     locks=0,
 ):
-    """An entry whose accessor and writer words describe the same access."""
-    e = MetadataEntry()
-    e.set_accessor(tag=0, warp_id=warp_id, lane=lane, dev_fence=dev_fence,
-                   blk_fence=blk_fence, blk_bar=blk_bar, warp_bar=warp_bar)
-    e.set_writer(warp_id=warp_id, lane=lane, dev_fence=dev_fence,
-                 blk_fence=blk_fence, blk_bar=blk_bar, warp_bar=warp_bar,
-                 locks=locks)
-    e.set_flag("Modified", modified)
-    e.set_flag("Atomic", atomic)
-    e.set_flag("Scope", scope_block)
-    e.set_flag("DevShared", dev_shared)
-    e.set_flag("BlkShared", blk_shared)
-    return e
+    """``(accessor word, writer word)`` describing the same access."""
+    snapshot = (warp_id, lane, dev_fence, blk_fence, blk_bar, warp_bar)
+    acc = SET_ACCESSOR(0, 0, 1, *snapshot)
+    wr = SET_WRITER(0, locks, *snapshot)
+    for flag, on in (
+        (MODIFIED, modified),
+        (ATOMIC, atomic),
+        (SCOPE, scope_block),
+        (DEV_SHARED, dev_shared),
+        (BLK_SHARED, blk_shared),
+    ):
+        if on:
+            acc |= flag
+    return acc, wr
+
+
+class Access(NamedTuple):
+    """The current access: Table 2's ``curr``."""
+
+    kind: AccessKind
+    warp_id: int
+    lane: int
+    block_id: int
+    active_mask: FrozenSet[int]
+    locks: int
 
 
 def make_access(kind=AccessKind.LOAD, warp_id=0, lane=0, block_id=0,
                 active_mask=(), locks=0):
-    return CurrentAccess(
-        kind=kind, warp_id=warp_id, lane=lane, block_id=block_id,
-        active_mask=frozenset(active_mask), locks_bloom=locks,
-    )
+    return Access(kind, warp_id, lane, block_id, frozenset(active_mask), locks)
 
 
 def check(curr, entry, sync=None, its=True, lockset=True):
     """Run both tiers; return ('P', name) or ('R', type) or (None, None)."""
     sync = sync or SyncMetadata()
-    md = select_md(entry, curr)
-    passed = preliminary_checks(curr, entry, md, sync, WPB, its_support=its)
+    acc, wr = entry
+    is_load = curr.kind is AccessKind.LOAD
+    md = md_word(acc, wr, is_load)
+    passed = preliminary_checks(
+        acc, md, is_load, curr.kind is AccessKind.ATOMIC, curr.warp_id,
+        curr.lane, curr.block_id, curr.active_mask, sync, WPB,
+        its_support=its,
+    )
     if passed is not None:
         return ("P", passed)
-    race = race_checks(curr, entry, md, sync, WPB, its_support=its,
-                       lockset=lockset)
+    race = race_checks(
+        acc, wr, md, curr.warp_id, curr.block_id, curr.locks, sync, WPB,
+        its_support=its, lockset=lockset,
+    )
     if race is not None:
         return ("R", race)
     return (None, None)
 
 
+def _accessor_and_writer(accessor_warp, writer_warp, writer_locks=0):
+    acc = SET_ACCESSOR(0, 0, 1, accessor_warp, 1, 0, 0, 0, 0)
+    wr = SET_WRITER(0, writer_locks, writer_warp, 2, 0, 0, 0, 0)
+    return acc, wr
+
+
 class TestDefinitions:
     def test_load_checks_against_writer(self):
-        e = MetadataEntry()
-        e.set_accessor(tag=0, warp_id=1, lane=1, dev_fence=0, blk_fence=0,
-                       blk_bar=0, warp_bar=0)
-        e.set_writer(warp_id=2, lane=2, dev_fence=0, blk_fence=0,
-                     blk_bar=0, warp_bar=0, locks=0)
-        md = select_md(e, make_access(kind=AccessKind.LOAD))
-        assert md.warp_id == 2
+        acc, wr = _accessor_and_writer(accessor_warp=1, writer_warp=2)
+        md = md_word(acc, wr, is_load=True)
+        assert DECODE_MD(md)[0] == 2
 
     def test_store_checks_against_accessor(self):
-        e = MetadataEntry()
-        e.set_accessor(tag=0, warp_id=1, lane=1, dev_fence=0, blk_fence=0,
-                       blk_bar=0, warp_bar=0)
-        e.set_writer(warp_id=2, lane=2, dev_fence=0, blk_fence=0,
-                     blk_bar=0, warp_bar=0, locks=0)
-        md = select_md(e, make_access(kind=AccessKind.STORE))
-        assert md.warp_id == 1
+        acc, wr = _accessor_and_writer(accessor_warp=1, writer_warp=2)
+        md = md_word(acc, wr, is_load=False)
+        assert DECODE_MD(md)[0] == 1
 
     def test_atomic_checks_against_accessor(self):
-        e = MetadataEntry()
-        e.set_accessor(tag=0, warp_id=7, lane=0, dev_fence=0, blk_fence=0,
-                       blk_bar=0, warp_bar=0)
-        md = select_md(e, make_access(kind=AccessKind.ATOMIC))
-        assert md.warp_id == 7
+        acc = SET_ACCESSOR(0, 0, 1, 7, 0, 0, 0, 0, 0)
+        md = md_word(acc, 0, is_load=False)
+        assert DECODE_MD(md)[0] == 7
+
+    def test_md_locks_are_the_last_writers(self):
+        # md.Locks is the last writer's summary whichever word md is.
+        acc, wr = _accessor_and_writer(1, 2, writer_locks=0xBEEF)
+        for is_load in (True, False):
+            assert DECODE_MD(md_word(acc, wr, is_load))[6] == 0xBEEF
 
 
 class TestPreliminary:
     def test_p1_first_access(self):
-        assert check(make_access(), MetadataEntry()) == ("P", "P1")
+        assert check(make_access(), EMPTY) == ("P", "P1")
 
     def test_p2_read_of_unmodified(self):
         e = make_entry(warp_id=1, modified=False)

@@ -6,12 +6,19 @@ accessor (default in iGUARD).  Tracking longer access history did not
 find any new races for any of the programs we evaluated."
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core import IGuard
-from repro.core.config import DEFAULT_CONFIG
+from repro.core.config import DEFAULT_CONFIG, IGuardConfig
+from repro.core.engine import IGuardCore
 from repro.errors import ConfigError
+from repro.gpu.events import AccessKind, MemoryEvent
+from repro.gpu.ids import locate
 from repro.gpu.instructions import atomic_add, atomic_load, load, store, syncthreads
+from repro.instrument.timing import TimingBreakdown
+from repro.obs import metrics
 from repro.workloads import racefree_workloads, racy_workloads, run_workload
 
 from tests.conftest import detect
@@ -96,3 +103,40 @@ class TestHistoryCanSeeOlderAccessors:
             config=DEFAULT_CONFIG.with_history(4),
         )
         assert det.race_count == 1
+
+
+class TestEvictionForgetsHistory:
+    """Per-granule side state follows the metadata table's evictions."""
+
+    def test_side_tables_trimmed_with_evicted_entries(self):
+        config = IGuardConfig(metadata_max_entries=2, accessor_history=4)
+        core = IGuardCore(config)
+        launch = SimpleNamespace(
+            warps_per_block=1, kernel_name="k", timing=TimingBreakdown(),
+            device=SimpleNamespace(memory=SimpleNamespace(describe=hex)),
+        )
+
+        def access(granule, tid, kind=AccessKind.STORE):
+            event = MemoryEvent(
+                kind=kind, address=granule * 4, where=locate(tid, 32, 32),
+                ip="k.cu:1", active_mask=frozenset({tid % 32}),
+            )
+            core.check_memory(event, granule, launch)
+            assert len(core._history) <= 2
+            assert len(core._writer_lock_truth) <= 2
+
+        metrics.set_enabled(True)
+        try:
+            for granule in (0, 1, 2, 3, 0, 1, 4):
+                access(granule, tid=granule)
+                access(granule, tid=32 + granule, kind=AccessKind.LOAD)
+        finally:
+            metrics.set_enabled(False)
+            metrics.get_registry().reset()
+        assert core.table.evictions > 0
+        # Granule 0 was evicted and re-admitted: its history holds only
+        # the accesses since re-admission, not the pre-eviction ones.
+        access(5, tid=5)  # evicts granule 0 again
+        assert 0 not in core._history
+        access(0, tid=7)
+        assert [was_write for _, was_write in core._history[0]] == [True]

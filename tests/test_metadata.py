@@ -4,15 +4,30 @@ from hypothesis import given, strategies as st
 
 from repro.core.metadata import (
     ACCESSOR_WORD,
+    ATOMIC,
     BLK_BAR_BITS,
     BLK_FENCE_BITS,
+    BLK_SHARED,
+    DECODE_MD,
     DEV_FENCE_BITS,
+    DEV_SHARED,
+    GET_LOCKS,
+    GET_WARP_ID,
+    LOCKS_MASK,
+    MODIFIED,
+    SCOPE,
+    SET_ACCESSOR,
+    SET_WRITER,
+    SNAPSHOT_FIELDS,
+    SNAPSHOT_MASK,
     TAG_BITS,
+    VALID,
     WARP_BAR_BITS,
     WRITER_WORD,
     MetadataEntry,
     MetadataTable,
 )
+from repro.gpu.ids import block_of_warp
 
 
 class TestLayout:
@@ -55,60 +70,59 @@ class TestLayout:
 
 
 class TestMetadataEntry:
+    """The word-level codec the check core reads and writes entries with."""
+
     def test_fresh_entry_invalid(self):
-        assert not MetadataEntry().valid
+        assert not MetadataEntry().accessor_word & VALID
 
     def test_set_accessor_validates(self):
-        e = MetadataEntry()
-        e.set_accessor(tag=5, warp_id=3, lane=2, dev_fence=1, blk_fence=0,
-                       blk_bar=7, warp_bar=4)
-        assert e.valid
-        view = e.last_accessor
-        assert view.warp_id == 3
-        assert view.lane == 2
-        assert view.dev_fence == 1
-        assert view.blk_bar == 7
-        assert view.warp_bar == 4
-        assert e.tag == 5
+        acc = SET_ACCESSOR(0, 5, 1, 3, 2, 1, 0, 7, 4)
+        assert acc & VALID
+        assert DECODE_MD(acc)[:6] == (3, 2, 1, 0, 7, 4)
+        assert GET_WARP_ID(acc) == 3
+        assert ACCESSOR_WORD.get(acc, "Tag") == 5
 
     def test_set_writer(self):
-        e = MetadataEntry()
-        e.set_writer(warp_id=9, lane=1, dev_fence=2, blk_fence=3,
-                     blk_bar=4, warp_bar=5, locks=0xABCD)
-        w = e.last_writer
-        assert w.warp_id == 9
-        assert w.locks == 0xABCD
+        wr = SET_WRITER(0, 0xABCD, 9, 1, 2, 3, 4, 5)
+        assert DECODE_MD(wr) == (9, 1, 2, 3, 4, 5, 0xABCD)
+        assert GET_LOCKS(wr) == 0xABCD
 
     def test_flags(self):
-        e = MetadataEntry()
-        for flag in ("Modified", "Atomic", "Scope", "DevShared", "BlkShared"):
-            e.set_flag(flag, True)
-        assert e.modified and e.atomic and e.scope_is_block
-        assert e.dev_shared and e.blk_shared
-        e.set_flag("Atomic", False)
-        assert not e.atomic
+        # The flag masks sit exactly on the named Figure 4 bits.
+        names = {
+            "Valid": VALID, "Modified": MODIFIED, "Atomic": ATOMIC,
+            "Scope": SCOPE, "DevShared": DEV_SHARED, "BlkShared": BLK_SHARED,
+        }
+        for name, mask in names.items():
+            assert ACCESSOR_WORD.get(mask, name) == 1
+            assert ACCESSOR_WORD.set(0, name, 1) == mask
+        acc = MODIFIED | ATOMIC | SCOPE | DEV_SHARED | BLK_SHARED
+        acc &= ~ATOMIC
+        assert ACCESSOR_WORD.get(acc, "Atomic") == 0
+        assert ACCESSOR_WORD.get(acc, "Modified") == 1
 
     def test_accessor_update_preserves_flags(self):
-        e = MetadataEntry()
-        e.set_flag("Modified", True)
-        e.set_accessor(tag=1, warp_id=1, lane=1, dev_fence=0, blk_fence=0,
-                       blk_bar=0, warp_bar=0)
-        assert e.modified
+        acc = SET_ACCESSOR(MODIFIED | DEV_SHARED, 1, 1, 1, 1, 0, 0, 0, 0)
+        assert acc & MODIFIED and acc & DEV_SHARED
 
     def test_counter_wraparound(self):
         # Storing counter value 256 into the 8-bit BlkBarID aliases 0 —
         # the 6.7 false-positive/negative window.
-        e = MetadataEntry()
-        e.set_accessor(tag=0, warp_id=0, lane=0, dev_fence=0, blk_fence=0,
-                       blk_bar=256, warp_bar=64)
-        assert e.last_accessor.blk_bar == 0
-        assert e.last_accessor.warp_bar == 0
+        acc = SET_ACCESSOR(0, 0, 1, 0, 0, 0, 0, 256, 64)
+        _, _, _, _, blk_bar, warp_bar, _ = DECODE_MD(acc)
+        assert (blk_bar, warp_bar) == (0, 0)
 
     def test_block_derivation(self):
-        e = MetadataEntry()
-        e.set_accessor(tag=0, warp_id=5, lane=0, dev_fence=0, blk_fence=0,
-                       blk_bar=0, warp_bar=0)
-        assert e.last_accessor.block_id(warps_per_block=2) == 2
+        acc = SET_ACCESSOR(0, 0, 1, 5, 0, 0, 0, 0, 0)
+        assert block_of_warp(GET_WARP_ID(acc), warps_per_block=2) == 2
+
+    def test_snapshot_fields_shared_by_both_words(self):
+        # One decoder serves either word because the layouts agree on
+        # bits 45-0; md_word relies on it.
+        for name in SNAPSHOT_FIELDS:
+            assert ACCESSOR_WORD.field(name) == WRITER_WORD.field(name)
+        assert SNAPSHOT_MASK == (1 << 46) - 1
+        assert LOCKS_MASK == WRITER_WORD.field("Locks").mask
 
     @given(
         warp=st.integers(0, (1 << 15) - 1),
@@ -119,12 +133,15 @@ class TestMetadataEntry:
         wbar=st.integers(0, 63),
     )
     def test_accessor_roundtrip_property(self, warp, lane, dev, blk, bar, wbar):
-        e = MetadataEntry()
-        e.set_accessor(tag=0, warp_id=warp, lane=lane, dev_fence=dev,
-                       blk_fence=blk, blk_bar=bar, warp_bar=wbar)
-        v = e.last_accessor
-        assert (v.warp_id, v.lane, v.dev_fence, v.blk_fence, v.blk_bar,
-                v.warp_bar) == (warp, lane, dev, blk, bar, wbar)
+        acc = SET_ACCESSOR(0, 0, 1, warp, lane, dev, blk, bar, wbar)
+        assert DECODE_MD(acc)[:6] == (warp, lane, dev, blk, bar, wbar)
+        # The compiled path agrees with the field-by-field reference.
+        fields = ACCESSOR_WORD.unpack(acc)
+        assert (
+            fields["WarpID"], fields["ThreadID"], fields["DevFenceID"],
+            fields["BlkFenceID"], fields["BlkBarID"], fields["WarpBarID"],
+        ) == (warp, lane, dev, blk, bar, wbar)
+        assert fields["Valid"] == 1
 
 
 class TestMetadataTable:
@@ -136,7 +153,7 @@ class TestMetadataTable:
     def test_lookup_creates(self):
         t = MetadataTable()
         e = t.lookup(0x1000)
-        assert not e.valid
+        assert not e.accessor_word & VALID
         assert len(t) == 1
 
     def test_lookup_returns_same_entry(self):
@@ -159,6 +176,15 @@ class TestMetadataTable:
         t.lookup(0x1000)
         t.lookup(0x2000)
         assert t.shadow_bytes == 32  # 2 entries x 16 bytes
+
+    def test_eviction_reports_the_victim(self):
+        t = MetadataTable(max_entries=2)
+        evicted = []
+        t.on_evict = evicted.append
+        for granule in (7, 8, 9, 7):
+            t.lookup_granule(granule)
+        assert evicted == [7, 8]  # FIFO: oldest resident first
+        assert t.evictions == 2 and len(t) == 2
 
     def test_tag_of_is_narrow(self):
         t = MetadataTable()
