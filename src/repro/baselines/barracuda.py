@@ -23,20 +23,16 @@ through (fence, atomic) pairs, barrier joins at each ``syncthreads`` —
 lives in :class:`repro.core.engine.HBCore`; this class is the Tool
 adapter that owns Barracuda's *tool* behaviours (event costing, the
 processing budget, the memory reservation, the unsupported-feature
-aborts) and feeds the core(s).  Like :class:`repro.core.detector.IGuard`
-it shards by routing key: memory accesses route to the shard owning
-their address, atomics (release/acquire synchronization) and sync events
-apply once to the happens-before state all shards share.
+aborts) and feeds the core.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
-from repro.core.engine import HBCore, HBSyncState
-from repro.core.report import RaceLog
-from repro.errors import ConfigError, OutOfMemoryError, TimeoutError_, UnsupportedFeatureError
+from repro.core.engine import HBCore
+from repro.errors import OutOfMemoryError, TimeoutError_, UnsupportedFeatureError
 from repro.gpu.events import AccessKind, MemoryEvent, SyncEvent
 from repro.gpu.instructions import Scope
 from repro.instrument.nvbit import LaunchInfo, Tool
@@ -79,48 +75,17 @@ class Barracuda(Tool):
         self,
         costs: BarracudaCosts = BarracudaCosts(),
         event_budget: int = 12_000,
-        shards: Optional[int] = None,
     ):
         self.costs = costs
         self.event_budget = event_budget
-        if shards is None:
-            from repro.core.sharding import default_shards
-
-            shards = default_shards()
-        if shards < 1:
-            raise ConfigError(f"shards must be >= 1, got {shards}")
-        self.shards = shards
         self.device = None
-        self.races = RaceLog(capacity=16_384)
         self.events_processed = 0
         self.gave_up = False
-        self.sync = HBSyncState()
-        self.cores: List[HBCore] = [
-            HBCore(
-                its=self.ITS_SUPPORT,
-                same_warp_ordered=self.SAME_WARP_ORDERED,
-                sync=self.sync,
-                shard_id=i,
-            )
-            for i in range(shards)
-        ]
-        for core in self.cores:
-            core.report_sink = self._report_sink
+        self.core = HBCore(
+            its=self.ITS_SUPPORT, same_warp_ordered=self.SAME_WARP_ORDERED
+        )
+        self.races = self.core.races
         self._launch: Optional[LaunchInfo] = None
-
-    # ------------------------------------------------------------------
-    # Delegation / report plumbing
-    # ------------------------------------------------------------------
-
-    def _report_sink(self, record) -> bool:
-        return self.races.report(record)
-
-    def _shard_of(self, address: int) -> int:
-        if self.shards == 1:
-            return 0
-        from repro.core.sharding import shard_of
-
-        return shard_of(address, self.shards)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -152,18 +117,13 @@ class Barracuda(Tool):
         self._launch = launch
         self.events_processed = 0
         self.gave_up = False
-        self.sync = HBSyncState()
-        for core in self.cores:
-            core.rebind_sync(self.sync)
-            core.begin_launch(launch)
+        self.core.begin_launch(launch)
         launch.timing.charge(
             Category.NVBIT, self.costs.recompile_fixed, serial=True
         )
 
     def on_launch_end(self, launch: LaunchInfo) -> None:
-        for core in self.cores:
-            core.finish_launch(launch)
-        self.races.flush()
+        self.core.finish_launch(launch)
         launch.timing.charge(
             Category.NVBIT,
             self.costs.recompile_fraction * launch.timing.native_time,
@@ -171,9 +131,7 @@ class Barracuda(Tool):
         )
 
     def on_timeout(self, launch: LaunchInfo) -> None:
-        for core in self.cores:
-            core.finish_launch(launch)
-        self.races.flush()
+        self.core.finish_launch(launch)
 
     # ------------------------------------------------------------------
     # Event costing and budget
@@ -202,8 +160,7 @@ class Barracuda(Tool):
 
     def on_sync(self, event: SyncEvent, launch: LaunchInfo) -> None:
         self._charge_event(launch)
-        self._sync_barrier()
-        self.cores[0].apply_sync(event, launch)
+        self.core.apply_sync(event, launch)
 
     def on_memory(self, event: MemoryEvent, launch: LaunchInfo) -> None:
         self._charge_event(launch)
@@ -214,20 +171,12 @@ class Barracuda(Tool):
                     "Barracuda does not support scoped atomic operations "
                     f"(block-scope atomic at {event.ip})"
                 )
-            # Atomics are release/acquire synchronization: they mutate the
-            # shared happens-before state, so batched drivers drain first.
-            self._sync_barrier()
-            self.cores[0].atomic_sync(event)
+            # Atomics are release/acquire synchronization through the
+            # location, not checked accesses.
+            self.core.atomic_sync(event)
             return
 
-        self._dispatch(self._shard_of(event.address), event, launch)
-
-    def _dispatch(self, shard: int, event: MemoryEvent, launch: LaunchInfo) -> None:
-        """Run the routed check now.  Batched drivers override to queue."""
-        self.cores[shard].handle(event, event.address, launch)
-
-    def _sync_barrier(self) -> None:
-        """Quiesce shard queues before a sync-state mutation (see IGuard)."""
+        self.core.handle(event, event.address, launch)
 
     # ------------------------------------------------------------------
 

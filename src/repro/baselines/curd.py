@@ -42,9 +42,8 @@ class CURD(Barracuda):
         self,
         costs: CURDCosts = CURDCosts(),
         event_budget: int = 12_000,
-        shards=None,
     ):
-        super().__init__(costs=costs, event_budget=event_budget, shards=shards)
+        super().__init__(costs=costs, event_budget=event_budget)
         self.fallback = False
         self._fast_path_events = 0
 

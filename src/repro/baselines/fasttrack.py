@@ -7,7 +7,7 @@ of device memory, and gives up past an event budget.  This backend is
 the same :class:`repro.core.engine.HBCore` state machine with every one
 of those policies removed — an idealized FastTrack (PLDI'09) detector
 with ITS awareness — useful as a cross-check oracle against iGUARD's
-metadata-based checks and as the fifth backend of the sharded suite:
+metadata-based checks and as the fifth backend of the suite:
 
 - ``syncwarp`` joins the warp's vector clocks (ITS-aware), so
   intra-warp races missing a warp barrier are visible;
@@ -20,11 +20,7 @@ metadata-based checks and as the fifth backend of the sharded suite:
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-from repro.core.engine import HBCore, HBSyncState
-from repro.core.report import RaceLog
-from repro.errors import ConfigError
+from repro.core.engine import HBCore
 from repro.gpu.events import AccessKind, MemoryEvent, SyncEvent
 from repro.instrument.nvbit import LaunchInfo, Tool
 from repro.instrument.timing import Category
@@ -38,38 +34,10 @@ class FastTrack(Tool):
     #: well-formed, deliberately not calibrated against any real tool.
     CHECK_COST = 1.0
 
-    def __init__(self, shards: Optional[int] = None):
-        if shards is None:
-            from repro.core.sharding import default_shards
-
-            shards = default_shards()
-        if shards < 1:
-            raise ConfigError(f"shards must be >= 1, got {shards}")
-        self.shards = shards
+    def __init__(self):
         self.device = None
-        self.races = RaceLog(capacity=16_384)
-        self.sync = HBSyncState()
-        self.cores: List[HBCore] = [
-            HBCore(
-                its=True,
-                same_warp_ordered=False,
-                sync=self.sync,
-                shard_id=i,
-            )
-            for i in range(shards)
-        ]
-        for core in self.cores:
-            core.report_sink = self._report_sink
-
-    def _report_sink(self, record) -> bool:
-        return self.races.report(record)
-
-    def _shard_of(self, address: int) -> int:
-        if self.shards == 1:
-            return 0
-        from repro.core.sharding import shard_of
-
-        return shard_of(address, self.shards)
+        self.core = HBCore(its=True, same_warp_ordered=False)
+        self.races = self.core.races
 
     # ------------------------------------------------------------------
 
@@ -77,15 +45,10 @@ class FastTrack(Tool):
         self.device = device
 
     def on_launch_begin(self, launch: LaunchInfo) -> None:
-        self.sync = HBSyncState()
-        for core in self.cores:
-            core.rebind_sync(self.sync)
-            core.begin_launch(launch)
+        self.core.begin_launch(launch)
 
     def on_launch_end(self, launch: LaunchInfo) -> None:
-        for core in self.cores:
-            core.finish_launch(launch)
-        self.races.flush()
+        self.core.finish_launch(launch)
 
     def on_timeout(self, launch: LaunchInfo) -> None:
         self.on_launch_end(launch)
@@ -94,23 +57,14 @@ class FastTrack(Tool):
 
     def on_sync(self, event: SyncEvent, launch: LaunchInfo) -> None:
         launch.timing.charge(Category.DETECTION, self.CHECK_COST)
-        self._sync_barrier()
-        self.cores[0].apply_sync(event, launch)
+        self.core.apply_sync(event, launch)
 
     def on_memory(self, event: MemoryEvent, launch: LaunchInfo) -> None:
         launch.timing.charge(Category.DETECTION, self.CHECK_COST)
         if event.kind is AccessKind.ATOMIC:
-            self._sync_barrier()
-            self.cores[0].atomic_sync(event)
+            self.core.atomic_sync(event)
             return
-        self._dispatch(self._shard_of(event.address), event, launch)
-
-    def _dispatch(self, shard: int, event: MemoryEvent, launch: LaunchInfo) -> None:
-        """Run the routed check now.  Batched drivers override to queue."""
-        self.cores[shard].handle(event, event.address, launch)
-
-    def _sync_barrier(self) -> None:
-        """Quiesce shard queues before a sync-state mutation (see IGuard)."""
+        self.core.handle(event, event.address, launch)
 
     # ------------------------------------------------------------------
 

@@ -46,10 +46,9 @@ class ScoRD(IGuard):
 
     name = "ScoRD"
 
-    def __init__(self, config: IGuardConfig = DEFAULT_CONFIG, shards=None):
+    def __init__(self, config: IGuardConfig = DEFAULT_CONFIG):
         super().__init__(
             config=config.scord_mode(),
             costs=SCORD_COSTS,
             contention_params=SCORD_CONTENTION,
-            shards=shards,
         )

@@ -2,9 +2,10 @@
 
 A fuzzed or hostile input must never be able to OOM the process: every
 unbounded structure the event stream can grow — metadata tables, the
-columnar string pool, shard queues — is capped by an operator-set byte
-budget, degrading exactly like ``IGuardConfig.metadata_max_entries``
-does (bounded recall loss, never a false positive, never an abort).
+columnar string pool, the batched drain's queue — is capped by an
+operator-set budget, degrading exactly like
+``IGuardConfig.metadata_max_entries`` does (bounded recall loss, never a
+false positive, never an abort).
 
 Environment knobs (all read per call so tests can monkeypatch):
 
@@ -14,10 +15,10 @@ Environment knobs (all read per call so tests can monkeypatch):
     ``k``/``m``/``g`` suffix (``64m``).  Unset or ``0`` = unbounded
     (the historical behavior).
 ``IGUARD_QUEUE_CAP``
-    Maximum events the batched sharded drivers may hold queued before
-    forcing an early drain (backpressure: the producer does the work).
-    Early drains are output-identical — runs are order-equivalent
-    between sync mutations and deferred records re-sort at launch end.
+    Maximum checks the batched drain may hold queued before forcing an
+    early drain (backpressure: the producer does the work).  Early
+    drains are output-identical — checks between two sync mutations are
+    order-equivalent.
 ``IGUARD_QUARANTINE``
     Maximum poison events absorbed per process before quarantine gives
     up and lets the exception abort the run (see
@@ -33,7 +34,7 @@ MEM_BUDGET_VAR = "IGUARD_MEM_BUDGET"
 QUEUE_CAP_VAR = "IGUARD_QUEUE_CAP"
 QUARANTINE_VAR = "IGUARD_QUARANTINE"
 
-#: Default cap on queued events in the batched sharded drivers.  Far
+#: Default cap on queued checks in the batched drain.  Far
 #: above what any pinned workload queues between sync points, so the
 #: default changes nothing observable — it only bounds adversarial
 #: single-launch streams with no sync mutations at all.
@@ -82,7 +83,7 @@ def mem_budget() -> Optional[int]:
 
 
 def queue_cap() -> int:
-    """Pending-event cap for the batched sharded drivers."""
+    """Pending-check cap for the batched drain."""
     spec = os.environ.get(QUEUE_CAP_VAR, "").strip()
     if not spec:
         return DEFAULT_QUEUE_CAP

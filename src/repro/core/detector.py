@@ -12,14 +12,11 @@ Since the engine extraction, this class is a thin **adapter**: the Table 2
 state machine itself lives in :class:`repro.core.engine.IGuardCore`, and
 ``IGuard`` keeps only what is *not* detection state — cycle charging, UVM
 residency, metadata-lock contention, coalescing, per-launch statistics,
-and the Tool lifecycle.  The adapter drives one core per shard
-(``shards=1`` by default): memory events route to the shard owning their
-granule, synchronization events and lock-inferring atomics apply once to
-the shared synchronization state every core reads.  Because the adapter
-feeds shards inline, in serial event order, a sharded run is byte-for-byte
-identical to a serial one — races, types, stats, and cycle breakdowns —
-for any shard count (see :mod:`repro.core.sharding` for the router and
-the batched/process-pool drivers built on the same cores).
+and the Tool lifecycle.  The adapter drives exactly one core, which owns
+the synchronization state as well as the metadata.  The batched replay
+drains in :mod:`repro.core.sharding` reuse this adapter and its core,
+queueing checks between synchronization mutations instead of running
+each one on arrival.
 
 Performance features from the paper, all modeled:
 
@@ -43,16 +40,12 @@ from typing import List, Optional, Tuple
 from repro.core.engine import DetectorCosts, IGuardCore, LaunchStats
 from repro.core.config import DEFAULT_CONFIG, IGuardConfig
 from repro.core.contention import ContentionModel, ContentionParams
-from repro.core.report import RaceLog
-from repro.core.syncstate import SyncMetadata
 from repro.core.uvm import ManagedMetadataSpace, UVMParams
 from repro.common.budget import mem_budget
-from repro.errors import ConfigError
 from repro.gpu.events import AccessKind, MemoryEvent, SyncEvent
 from repro.gpu.instructions import AtomicOp
 from repro.instrument.nvbit import LaunchInfo, Tool
 from repro.instrument.timing import Category
-from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import HOT
 
 __all__ = ["DetectorCosts", "LaunchStats", "IGuard"]
@@ -68,12 +61,6 @@ class IGuard(Tool):
         ... allocate, launch kernels ...
         for race in detector.races.sites():
             print(race)
-
-    ``shards`` splits the per-granule detection state across N
-    :class:`~repro.core.engine.IGuardCore` instances sharing one
-    synchronization state; results are identical for every value.  The
-    default consults :func:`repro.core.sharding.default_shards` (the
-    ``IGUARD_SHARDS`` environment variable, else 1).
     """
 
     name = "iGUARD"
@@ -84,7 +71,6 @@ class IGuard(Tool):
         costs: Optional[DetectorCosts] = None,
         contention_params: Optional[ContentionParams] = None,
         uvm_params: Optional[UVMParams] = None,
-        shards: Optional[int] = None,
     ):
         # Per-instance factories, not def-time defaults: a default built
         # at function definition would be one shared instance across every
@@ -97,95 +83,54 @@ class IGuard(Tool):
             else ContentionParams()
         )
         self.uvm_params = uvm_params if uvm_params is not None else UVMParams()
-        if shards is None:
-            from repro.core.sharding import default_shards
-
-            shards = default_shards()
-        if shards < 1:
-            raise ConfigError(f"shards must be >= 1, got {shards}")
-        if shards > 1 and config.metadata_max_entries is not None:
-            raise ConfigError(
-                "sharding partitions the metadata table; a global "
-                "metadata_max_entries eviction cap cannot be enforced "
-                "coherently across shards (use shards=1)"
-            )
-        self.shards = shards
         self.device = None
-        self.races = RaceLog(capacity=config.race_buffer_capacity)
-        self.sync = SyncMetadata(config.lock_table_entries)
-        self.cores: List[IGuardCore] = [
-            IGuardCore(config, self.costs, sync=self.sync, shard_id=i)
-            for i in range(shards)
-        ]
-        for core in self.cores:
-            core.report_sink = self._report_sink
-        # IGUARD_MEM_BUDGET: bound total metadata growth by FIFO-evicting
-        # tables, the budget split evenly across shards.  Same degradation
-        # contract as metadata_max_entries — bounded recall loss, never a
-        # false positive — but unlike the config knob it composes with
-        # sharding: the operator asked for a memory ceiling, accepting
-        # that per-shard eviction order may hide different races than a
-        # serial run's would.
+        self.core = IGuardCore(config, self.costs)
+        self.core.report_sink = self._report_sink
+        self.races = self.core.races
+        # IGUARD_MEM_BUDGET: bound metadata growth by FIFO-evicting the
+        # table.  Same degradation contract as metadata_max_entries —
+        # bounded recall loss, never a false positive — but set by the
+        # operator as a memory ceiling rather than in the config.
         budget = mem_budget()
         if budget is not None and config.metadata_max_entries is None:
-            per_core = max(
-                1, budget // config.metadata_entry_bytes // shards
+            self.core.table.max_entries = max(
+                1, budget // config.metadata_entry_bytes
             )
-            for core in self.cores:
-                core.table.max_entries = per_core
         self.stats: List[LaunchStats] = []
         self._launch: Optional[LaunchInfo] = None
         self._contention: Optional[ContentionModel] = None
         self._uvm: Optional[ManagedMetadataSpace] = None
         self._current: Optional[LaunchStats] = None
         self._coalesce_key: Optional[Tuple[int, int]] = None
-        self._probe = None
-        #: Per-shard routed-event counts for the current launch (HOT
-        #: imbalance accounting; reset each launch).
-        self._shard_routed: List[int] = [0] * shards
-        #: Per-shard routed-event totals across the tool's whole life —
-        #: the benchmark under ``benchmarks/`` reads this directly, so it
-        #: accumulates whether or not the HOT recorder is on.
-        self.shard_routed_total: List[int] = [0] * shards
+        #: Always ``[0]``: kept because the benchmark under
+        #: ``benchmarks/`` reads it.
+        self.shard_routed_total: List[int] = [0]
 
     # ------------------------------------------------------------------
-    # Delegation: the detection state lives on the cores
+    # Delegation: the detection state lives on the core
     # ------------------------------------------------------------------
 
     @property
     def table(self):
-        """The metadata table (of shard 0 when sharded)."""
-        return self.cores[0].table
+        """The core's metadata table."""
+        return self.core.table
 
     @property
     def probe(self):
-        """Forensic probe, forwarded to every core."""
-        return self._probe
+        """Forensic probe, forwarded to the core."""
+        return self.core.probe
 
     @probe.setter
     def probe(self, probe) -> None:
-        self._probe = probe
-        for core in self.cores:
-            core.probe = probe
+        self.core.probe = probe
 
     def _report_sink(self, record) -> bool:
-        """Shared race log across all shards, preserving serial order.
-
-        Cores run inline in event order, so records arrive here exactly
-        when serial detection would have produced them.
-        """
+        """Report into the race log, counting new sites per launch."""
         if self.races.report(record):
             if self._current is not None:
                 self._current.races_reported += 1
             return True
         return False
-
-    def _shard_of(self, granule: int) -> int:
-        if self.shards == 1:
-            return 0
-        from repro.core.sharding import shard_of
-
-        return shard_of(granule, self.shards)
 
     # ------------------------------------------------------------------
     # Tool lifecycle
@@ -199,18 +144,9 @@ class IGuard(Tool):
         self._coalesce_key = None
         self._current = LaunchStats(kernel=launch.kernel_name)
         self.stats.append(self._current)
-        self._shard_routed = [0] * self.shards
-
-        # Fresh synchronization metadata per kernel: counters describe the
-        # *running* kernel's threads.  The adapter owns the (shared) sync
-        # state; every core is rebound to the new instance.  Memory
-        # metadata resets inside each core — the implicit barrier at kernel
-        # completion orders everything, so stale entries could only cause
-        # false positives.
-        self.sync = SyncMetadata(self.config.lock_table_entries)
-        for core in self.cores:
-            core.rebind_sync(self.sync)
-            core.begin_launch(launch)
+        # The core starts the kernel with fresh synchronization metadata
+        # (and, by default, fresh memory metadata).
+        self.core.begin_launch(launch)
 
         # NVBit binary analysis and injection (the duration-proportional
         # share is charged at launch end, once native time is known).
@@ -263,9 +199,7 @@ class IGuard(Tool):
         self._finish(launch)
 
     def _finish(self, launch: LaunchInfo) -> None:
-        for core in self.cores:
-            core.finish_launch(launch)
-        self.races.flush()
+        self.core.finish_launch(launch)
         # Duration-proportional host-side shares (see DetectorCosts).
         native = launch.timing.native_time
         launch.timing.charge(
@@ -282,29 +216,7 @@ class IGuard(Tool):
                 self._contention.serialized_cycles if self._contention else 0.0
             )
             self._current.uvm_faults = self._uvm.faults if self._uvm else 0
-            self._current.metadata_entries = sum(
-                len(core.table) for core in self.cores
-            )
-        if self.shards > 1:
-            routed = self._shard_routed
-            for shard, count in enumerate(routed):
-                self.shard_routed_total[shard] += count
-            if HOT.enabled:
-                total = sum(routed)
-                registry = obs_metrics.get_registry()
-                for shard, depth in enumerate(routed):
-                    HOT.shard_queue_depth.observe(depth)
-                    if depth:
-                        # Per-shard labelled series for the telemetry
-                        # pipeline (iguard_shard_events_total{shard="i"}
-                        # after OpenMetrics label folding).
-                        registry.counter(f"shard.{shard}.events").inc(depth)
-                if total:
-                    # Imbalance: the hottest shard's load relative to
-                    # perfect balance (1.0 = perfectly even).
-                    HOT.shard_imbalance.set(
-                        max(routed) * self.shards / total
-                    )
+            self._current.metadata_entries = len(self.core.table)
 
     # ------------------------------------------------------------------
     # Synchronization operations
@@ -316,10 +228,7 @@ class IGuard(Tool):
         )
         launch.timing.charge(Category.DETECTION, self.costs.sync_per_event)
         self._sync_barrier()
-        # One application mutates the shared sync state every core reads.
-        if HOT.enabled and self.shards > 1:
-            HOT.shard_broadcast.inc()
-        self.cores[0].apply_sync(event, launch)
+        self.core.apply_sync(event, launch)
 
     # ------------------------------------------------------------------
     # Memory operations
@@ -331,14 +240,12 @@ class IGuard(Tool):
         )
 
         # Lock inference precedes race checking (Figure 6's orange boxes).
-        # CAS/EXCH mutate the shared lock tables, so in batched modes all
-        # shard queues must drain first.
+        # CAS/EXCH mutate the lock tables, so a batched driver must drain
+        # its queued checks first.
         if event.kind is AccessKind.ATOMIC:
             if event.atomic_op in (AtomicOp.CAS, AtomicOp.EXCH):
                 self._sync_barrier()
-                if HOT.enabled and self.shards > 1:
-                    HOT.shard_broadcast.inc()
-            self.cores[0].infer_locks(event)
+            self.core.infer_locks(event)
 
         # Opportunistic coalescing: active threads of one warp loading (or
         # atomically updating) the same location cannot race with each
@@ -348,7 +255,7 @@ class IGuard(Tool):
         # *metadata* address, so converged lanes touching different bytes
         # of one granule coalesce into a single check of that granule's
         # entry.
-        granule = self.cores[0].table.granule_of(event.address)
+        granule = self.core.table.granule_of(event.address)
         if self.config.coalescing and event.kind in (
             AccessKind.LOAD,
             AccessKind.ATOMIC,
@@ -387,31 +294,26 @@ class IGuard(Tool):
                     HOT.contention_cycles.inc(stall)
                 launch.timing.charge(Category.DETECTION, stall, serial=True)
         launch.timing.charge(Category.DETECTION, self.costs.check_per_access)
-
-        shard = self._shard_of(granule)
-        self._shard_routed[shard] += 1
-        if HOT.enabled and self.shards > 1:
-            HOT.shard_routed.inc()
-        self._dispatch(shard, event, granule, launch)
+        self._dispatch(event, granule, launch)
 
     def _dispatch(
-        self, shard: int, event: MemoryEvent, granule: int, launch: LaunchInfo
+        self, event: MemoryEvent, granule: int, launch: LaunchInfo
     ) -> None:
-        """Run the routed check now.  Batched drivers override to queue.
+        """Run the check now.  The batched driver overrides to queue.
 
         Dispatching through :meth:`DetectorCore.handle` quarantines a
         poison event (one whose check raises) instead of aborting — the
         same absorption the batched drains apply, so all modes stay
         byte-identical on every non-quarantined record.
         """
-        self.cores[shard].handle(event, granule, launch, self._current)
+        self.core.handle(event, granule, launch, self._current)
 
     def _sync_barrier(self) -> None:
-        """Quiesce shard queues before a sync-state mutation.
+        """Drain queued checks before a sync-state mutation.
 
-        The inline adapter checks every event immediately, so there is
-        nothing to drain; batched drivers (:mod:`repro.core.sharding`)
-        override this to flush their per-shard run queues.
+        This adapter checks every event on arrival, so there is nothing
+        to drain; :class:`repro.core.sharding.BatchedIGuard` overrides
+        this to drain its queue.
         """
 
     # ------------------------------------------------------------------

@@ -11,18 +11,12 @@ report plumbing.  This module decouples the two layers:
   records.  It charges no overhead cycles, enforces no tool-specific
   limits, and never touches a device; those concerns stay in the ``Tool``
   adapters (:class:`repro.core.detector.IGuard`,
-  :class:`repro.baselines.barracuda.Barracuda`, ...), which feed their
-  core(s) from the instrumentation callbacks.
+  :class:`repro.baselines.barracuda.Barracuda`, ...), each of which feeds
+  exactly one core from the instrumentation callbacks.
 - the shared plumbing every backend needs — launch lifecycle, the race
-  log, report emission, and the *routing contract* that says which events
-  are keyed by a memory location and which mutate cross-location
-  synchronization state — lives once in the :class:`DetectorCore` base.
-
-The routing contract is what makes cores shardable
-(:mod:`repro.core.sharding`): per-granule state partitions cleanly by
-address hash, while sync mutations (barriers, fences, lock-inferring
-atomics, HB release/acquire) must be applied to shared (or replicated)
-synchronization state so every shard observes coherent counters.
+  log, report emission, and the batched ``check_run``/``drain_batch``
+  entry points the replay drains (:mod:`repro.core.sharding`) call —
+  lives once in the :class:`DetectorCore` base.
 
 Two core families are provided:
 
@@ -119,8 +113,8 @@ class LaunchStats:
 
 
 #: A report sink: receives a race record and returns whether the record's
-#: *site* was new.  Adapters install one so every core of a shard group
-#: reports through the shared race log / forensic probe / stats.
+#: *site* was new.  ``IGuard`` installs one to count reported races in
+#: its per-launch statistics.
 ReportSink = Callable[[RaceRecord], bool]
 
 
@@ -128,58 +122,27 @@ class DetectorCore:
     """Base class of the pure check engines.
 
     Owns the plumbing every backend shares — the race log, the launch
-    lifecycle, report emission — plus the *routing contract* used by
-    :mod:`repro.core.sharding`:
-
-    - :meth:`routing_key` maps a memory event to the integer its
-      per-location state is keyed by (granule index or byte address);
-    - :meth:`is_sync_mutation` says whether an event mutates cross-location
-      synchronization state (and therefore must be broadcast / applied to
-      the shared sync state rather than routed to one shard).
-
-    Subclasses implement the check logic in :meth:`check_memory` (full
-    detection for the routed owner) and :meth:`absorb_memory` (the
-    sync-state side effects only, for non-owner shards replaying a
-    broadcast event against their replicated sync state).
+    lifecycle, report emission, and the batched drain entry points.
+    Subclasses implement the check logic in :meth:`check_memory` and the
+    synchronization side in :meth:`apply_sync`; each core owns its own
+    synchronization state and resets it at every launch.
     """
 
     name = "core"
 
     def __init__(self, capacity: int, max_records: Optional[int] = None):
         self.races = RaceLog(capacity=capacity, max_records=max_records)
-        #: Index of the current launch (0-based), tagged into race
-        #: records so shard-merged reports re-sort into serial order.
-        self.launch_index = -1
-        #: Shard ordinal when this core is one of a sharded group.
-        self.shard_id = 0
-        #: Optional replacement for the default report path (install to
-        #: share one race log across a shard group, or to collect raw
-        #: records from a worker process).
+        #: Optional replacement for the default report path.
         self.report_sink: Optional[ReportSink] = None
 
     # -- lifecycle ---------------------------------------------------------
 
-    def begin_launch(self, launch) -> None:
-        """A kernel launch starts: advance the index, reset per-launch state."""
-        self.launch_index += 1
-        self._reset_for_launch(launch)
-
-    def _reset_for_launch(self, launch) -> None:  # pragma: no cover - hook
-        pass
+    def begin_launch(self, launch) -> None:  # pragma: no cover - hook
+        """A kernel launch starts: reset per-launch state."""
 
     def finish_launch(self, launch) -> None:
         """A kernel launch ended (or timed out): flush buffered races."""
         self.races.flush()
-
-    # -- routing contract --------------------------------------------------
-
-    def routing_key(self, event: MemoryEvent) -> int:
-        """The integer key this event's per-location state is sharded by."""
-        raise NotImplementedError
-
-    def is_sync_mutation(self, event) -> bool:
-        """Whether the event mutates cross-location synchronization state."""
-        raise NotImplementedError
 
     # -- event application -------------------------------------------------
 
@@ -187,28 +150,21 @@ class DetectorCore:
         """Apply a synchronization event to the sync state."""
         raise NotImplementedError
 
-    def absorb_memory(self, event: MemoryEvent, launch) -> None:
-        """Apply only a memory event's sync-state side effects.
-
-        Used by non-owner shards of a process-pool group replaying a
-        broadcast event to keep their replicated sync state coherent.
-        """
-
     def check_memory(
         self, event: MemoryEvent, key: int, launch, stats=None
     ) -> None:
-        """Run full detection for a memory event this core owns."""
+        """Run full detection for one memory event."""
         raise NotImplementedError
 
     def handle(self, event, key, launch, stats=None) -> None:
         """:meth:`check_memory` with poison-event quarantine around it.
 
-        The inline adapters dispatch through this so one raising event
-        is absorbed (:mod:`repro.faults.quarantine`) instead of aborting
-        the run; the batched drains get the same semantics from
+        The adapters dispatch through this so one raising event is
+        absorbed (:mod:`repro.faults.quarantine`) instead of aborting the
+        run; the batched drains get the same semantics from
         :meth:`check_run`'s resume path, so a poison event quarantines
         identically — same counter, same skipped check — in serial,
-        sharded, and columnar replays.
+        batched, and columnar replays.
         """
         try:
             self.check_memory(event, key, launch, stats)
@@ -216,7 +172,7 @@ class DetectorCore:
             _poison(event, exc, "core")
 
     def check_run(self, run, launch, stats=None) -> None:
-        """Check a queued run of routed ``(event, key)`` pairs in order."""
+        """Check a queued run of ``(event, key)`` pairs in order."""
         check = self.check_memory
         event = None
         try:
@@ -242,9 +198,9 @@ class DetectorCore:
                 return
 
     def drain_batch(self, run, launch, stats=None) -> None:
-        """Batched drain entry point for the sharded queue drivers.
+        """Batched drain entry point for the queued replay drivers.
 
-        One call per queued chunk: the adapter-level per-event dispatch
+        One call per queued run: the adapter-level per-event dispatch
         (Tool callback, bus publish, cost charging) is paid once per
         batch and the backend's tightest ``check_run`` loop does the
         rest.  It guards the empty case and delegates.
@@ -275,10 +231,6 @@ class IGuardCore(DetectorCore):
     state: overhead charging, UVM residency, contention stalls, and
     coalescing (all of which depend on the serial event order, not on
     per-granule state).
-
-    ``sync`` may be supplied to share one :class:`SyncMetadata` across a
-    shard group (in-process sharding); otherwise the core owns its own
-    and resets it per launch (standalone / process-pool replica).
     """
 
     name = "iGUARD"
@@ -287,8 +239,6 @@ class IGuardCore(DetectorCore):
         self,
         config: IGuardConfig,
         costs: Optional[DetectorCosts] = None,
-        sync: Optional[SyncMetadata] = None,
-        shard_id: int = 0,
     ):
         super().__init__(capacity=config.race_buffer_capacity)
         self.config = config
@@ -298,11 +248,7 @@ class IGuardCore(DetectorCore):
             config.metadata_entry_bytes,
             max_entries=config.metadata_max_entries,
         )
-        self._owns_sync = sync is None
-        self.sync = sync if sync is not None else SyncMetadata(
-            config.lock_table_entries
-        )
-        self.shard_id = shard_id
+        self.sync = SyncMetadata(config.lock_table_entries)
         #: Optional forensic probe (repro.obs.forensics.ForensicProbe).
         self.probe = None
         #: Section 6.7 ablation state: per-granule history of the last N
@@ -316,39 +262,16 @@ class IGuardCore(DetectorCore):
 
     # -- lifecycle ---------------------------------------------------------
 
-    def _reset_for_launch(self, launch) -> None:
+    def begin_launch(self, launch) -> None:
         # Fresh synchronization metadata per kernel: counters describe the
         # *running* kernel's threads.  Memory metadata is also reset — the
         # implicit barrier at kernel completion orders everything, so stale
-        # entries could only cause false positives.  When the sync state is
-        # shared across a shard group, the adapter resets it once and
-        # rebinds every core through :meth:`rebind_sync`.
-        if self._owns_sync:
-            self.sync = SyncMetadata(self.config.lock_table_entries)
+        # entries could only cause false positives.
+        self.sync = SyncMetadata(self.config.lock_table_entries)
         self._writer_lock_truth.clear()
         if self.config.reset_metadata_per_kernel:
             self.table.clear()
             self._history.clear()
-
-    def rebind_sync(self, sync: SyncMetadata) -> None:
-        """Point this core at a (shared) sync state the adapter owns."""
-        self.sync = sync
-        self._owns_sync = False
-
-    # -- routing contract --------------------------------------------------
-
-    def routing_key(self, event: MemoryEvent) -> int:
-        return self.table.granule_of(event.address)
-
-    def is_sync_mutation(self, event) -> bool:
-        # CAS/EXCH atomics mutate the lock tables; other atomics only run
-        # the ordinary per-granule check.
-        if isinstance(event, SyncEvent):
-            return True
-        return event.kind is AccessKind.ATOMIC and event.atomic_op in (
-            AtomicOp.CAS,
-            AtomicOp.EXCH,
-        )
 
     # -- synchronization ---------------------------------------------------
 
@@ -374,10 +297,6 @@ class IGuardCore(DetectorCore):
                     )
         if self.probe is not None:
             self.probe.on_sync(event)
-
-    def absorb_memory(self, event: MemoryEvent, launch) -> None:
-        if event.kind is AccessKind.ATOMIC:
-            self.infer_locks(event)
 
     # -- lock inference ----------------------------------------------------
 
@@ -630,9 +549,6 @@ class IGuardCore(DetectorCore):
             block_id=where.block_id,
             prev_warp_id=prev_warp_id,
             prev_lane=prev_lane,
-            launch_index=self.launch_index,
-            batch=event.batch,
-            granule=granule,
         )
         if HOT.enabled:
             HOT.detector_races.inc()
@@ -668,9 +584,7 @@ class HBSyncState:
 
     The analogue of :class:`~repro.core.syncstate.SyncMetadata` for the
     vector-clock family — everything a memory *check* reads but only
-    synchronization events (barriers, fences, atomics) mutate.  Shared
-    across an in-process shard group, replicated per shard in a
-    process-pool group.
+    synchronization events (barriers, fences, atomics) mutate.
     """
 
     def __init__(self):
@@ -716,41 +630,19 @@ class HBCore(DetectorCore):
         same_warp_ordered: bool = True,
         race_type: RaceType = RaceType.INTER_BLOCK,
         capacity: int = 16_384,
-        sync: Optional[HBSyncState] = None,
-        shard_id: int = 0,
     ):
         super().__init__(capacity=capacity)
         self.its = its
         self.same_warp_ordered = same_warp_ordered
         self.race_type = race_type
-        self._owns_sync = sync is None
-        self.sync = sync if sync is not None else HBSyncState()
-        self.shard_id = shard_id
+        self.sync = HBSyncState()
         self._histories: Dict[int, AccessHistory] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
-    def _reset_for_launch(self, launch) -> None:
-        if self._owns_sync:
-            self.sync = HBSyncState()
+    def begin_launch(self, launch) -> None:
+        self.sync = HBSyncState()
         self._histories = {}
-
-    def rebind_sync(self, sync: HBSyncState) -> None:
-        """Point this core at a (shared) sync state the adapter owns."""
-        self.sync = sync
-        self._owns_sync = False
-
-    # -- routing contract --------------------------------------------------
-
-    def routing_key(self, event: MemoryEvent) -> int:
-        return event.address
-
-    def is_sync_mutation(self, event) -> bool:
-        # Every atomic is synchronization here: release/acquire edges
-        # through the location mutate thread VCs and location clocks.
-        if isinstance(event, SyncEvent):
-            return True
-        return event.kind is AccessKind.ATOMIC
 
     # -- synchronization ---------------------------------------------------
 
@@ -803,10 +695,6 @@ class HBCore(DetectorCore):
             state = self.sync.thread(tid)
             state.vc = joined.copy()
             state.vc.bump(tid)
-
-    def absorb_memory(self, event: MemoryEvent, launch) -> None:
-        if event.kind is AccessKind.ATOMIC:
-            self.atomic_sync(event)
 
     def atomic_sync(self, event: MemoryEvent) -> None:
         """Atomics are synchronization: release-acquire through the location."""
@@ -897,9 +785,6 @@ class HBCore(DetectorCore):
             block_id=where.block_id,
             prev_warp_id=-1,
             prev_lane=-1,
-            launch_index=self.launch_index,
-            batch=event.batch,
-            granule=event.address,
         )
         if HOT.enabled:
             HOT.detector_races.inc()

@@ -57,36 +57,6 @@ class RaceRecord:
     block_id: int
     prev_warp_id: int
     prev_lane: int
-    #: Provenance tags for shard merging: the 0-based kernel-launch index,
-    #: the scheduler batch that produced the access, and the metadata
-    #: granule it was keyed by.  -1 on records from paths that predate the
-    #: sharded engine (the tags never affect site dedup or reporting).
-    launch_index: int = -1
-    batch: int = -1
-    granule: int = -1
-
-    def serial_sort_key(self):
-        """The total order race records occur in under serial detection.
-
-        Scheduler batches are numbered by one global per-launch counter and
-        each batch executes one warp's active lanes in lane order, so
-        ``(launch, batch, warp, lane)`` orders dynamic *events*; the granule
-        and site break the (rare) tie of one lane touching several granules
-        at distinct program sites within a batch.  A record never carries a
-        thread's insertion position, so every component is an explicit
-        field: ``sorted(..., key=serial_sort_key)`` on a shuffled record
-        list reproduces the serial order exactly, with the *stable* sort
-        preserving shard-local emission order for records from one event
-        (e.g. accessor-history checks reporting the same site repeatedly).
-        """
-        return (
-            self.launch_index,
-            self.batch,
-            self.warp_id,
-            self.lane,
-            self.granule,
-            self.ip,
-        )
 
     def describe(self) -> str:
         """One-line report in the spirit of the tool's CPU-side output."""
@@ -208,25 +178,3 @@ class RaceLog:
         """Force the device buffer to the host (kernel end / timeout)."""
         self.buffer.flush()
 
-
-def merge_race_records(
-    record_lists, capacity: int, max_records: Optional[int] = None
-) -> RaceLog:
-    """Deterministically merge shard-local race records into one log.
-
-    Re-sorts the concatenated records by :meth:`RaceRecord.serial_sort_key`
-    — the exact order serial detection would have emitted them — then
-    replays them through a fresh :class:`RaceLog`.  Replaying (rather than
-    unioning site sets) matters because the log's per-site race type is
-    first-record-wins: only the serial-order first occurrence may define a
-    site's type, whichever shard happened to emit it.
-    """
-    merged = RaceLog(capacity=capacity, max_records=max_records)
-    records: List[RaceRecord] = []
-    for chunk in record_lists:
-        records.extend(chunk)
-    records.sort(key=RaceRecord.serial_sort_key)
-    for record in records:
-        merged.report(record)
-    merged.flush()
-    return merged

@@ -5,7 +5,7 @@ The JSONL codec (:mod:`repro.engine.trace`) spends its replay budget in
 event.  This module stores the same typed stream as *columns*: one numpy
 array per event field, grouped by event type, so loading a chunk costs
 O(fields) numpy reads instead of O(events) JSON parses, and batch
-consumers (the sharded replay driver, the shard router) can compute over
+consumers (the batched replay drain) can compute over
 whole columns vectorized before any per-event Python object exists.
 
 File layout (``.ctr``; ``.ctr.gz`` is the same stream gzipped)::
@@ -92,12 +92,6 @@ _OP_CODES = {op: i for i, op in enumerate(_OP_BY_CODE) if op is not None}
 _SCOPE_BY_CODE = tuple(Scope(v) for v in sorted(int(s) for s in Scope))
 
 _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
-
-#: The multiplicative-mix router constants, mirrored from
-#: :mod:`repro.core.sharding` (numpy-typed here so column-wide routing
-#: wraps identically to the scalar hash).
-_MIX64 = np.uint64(0x9E3779B97F4A7C15)
-_SHIFT17 = np.uint64(17)
 
 
 def is_columnar_path(path) -> bool:
@@ -429,7 +423,7 @@ def save_columnar(events, path, chunk_rows: int = CHUNK_ROWS) -> None:
 class Chunk:
     """One decoded chunk: raw column arrays plus lazy row materialization.
 
-    Batch consumers read the raw columns (``mem_routes`` hashes the whole
+    Batch consumers read the raw columns (``mem_routes`` shifts the whole
     address column vectorized); :meth:`events` materializes the slotted
     event objects row by row, memoizing :class:`ThreadLocation` and
     active-mask objects across the whole read session so repeated
@@ -450,26 +444,18 @@ class Chunk:
         self._pool = pool
         self._memos = memos
 
-    def mem_routes(
-        self, granularity_bytes: int, shards: int
-    ) -> Tuple[List[int], List[int]]:
-        """Vectorized granule + shard of every memory row, in row order.
+    def mem_routes(self, granularity_bytes: int) -> List[int]:
+        """Vectorized metadata granule of every memory row, in row order.
 
-        Reproduces :func:`repro.core.sharding.shard_of` over the address
-        column: granule = address >> log2(granularity), then the 64-bit
-        multiplicative mix (numpy uint64 arithmetic wraps exactly like
-        the scalar ``& _MASK``).
+        ``address >> log2(granularity)`` over the whole address column,
+        the same index :meth:`~repro.core.metadata.MetadataTable.granule_of`
+        computes one address at a time.
         """
         group = self.groups.get("m")
         if group is None:
-            return [], []
-        addresses = group[1]
+            return []
         shift = np.uint64(granularity_bytes.bit_length() - 1)
-        granules = addresses >> shift
-        if shards <= 1:
-            return granules.tolist(), [0] * len(granules)
-        routed = ((granules * _MIX64) >> _SHIFT17) % np.uint64(shards)
-        return granules.tolist(), routed.tolist()
+        return (group[1] >> shift).tolist()
 
     def events(self) -> list:
         """Materialize the chunk's rows as typed event objects."""

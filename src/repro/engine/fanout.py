@@ -65,26 +65,11 @@ def _sink_outcome(sink: ToolSink, status: str, detail: str) -> SeedOutcome:
     return outcome
 
 
-def _build_tool(factory, shards: Optional[int]):
-    """Instantiate a detector, threading the shard count through.
-
-    With ``shards`` of None the factory is called bare (its own default
-    applies, including the ``IGUARD_SHARDS`` environment variable).  An
-    explicit count requires the factory to accept a ``shards`` keyword —
-    true of every detector class and of
-    :class:`~repro.workloads.runner.DetectorFactory`-style wrappers.
-    """
-    if shards is None:
-        return factory()
-    return factory(shards=shards)
-
-
 def run_workload_fanout(
     workload: Workload,
     tool_factories: Sequence,
     config: GPUConfig = SIM_GPU,
     seeds=None,
-    shards: Optional[int] = None,
 ) -> List[WorkloadResult]:
     """Run ``workload`` once per seed with every detector attached.
 
@@ -92,8 +77,6 @@ def run_workload_fanout(
     in factory order, each equal to what a solo
     :func:`~repro.workloads.runner.run_workload` with that factory would
     have produced (races, statuses, and overhead breakdowns alike).
-    ``shards`` partitions each detector's per-launch check work
-    (byte-identical results for any count).
     """
     seeds = tuple(seeds) if seeds is not None else workload.seeds
     names = [detector_name(factory) for factory in tool_factories]
@@ -112,9 +95,7 @@ def run_workload_fanout(
                 if not is_active:
                     sinks.append(None)
                     continue
-                sinks.append(
-                    device.add_sink(ToolSink(_build_tool(factory, shards)))
-                )
+                sinks.append(device.add_sink(ToolSink(factory())))
             status, detail = "ok", ""
             try:
                 workload.run(device, seed)
@@ -170,7 +151,6 @@ def _stream_runs(stream, default_config: GPUConfig = SIM_GPU):
 def replay_trace_fanout(
     source,
     tool_factories: Sequence,
-    shards: Optional[int] = None,
     workload_name: str = "replay",
 ) -> List[WorkloadResult]:
     """Replay one saved trace through many detectors in a single pass.
@@ -199,8 +179,7 @@ def replay_trace_fanout(
     for config, events in runs:
         device = ReplayDevice(config)
         sinks = [
-            device.add_sink(ToolSink(_build_tool(factory, shards)))
-            for factory in tool_factories
+            device.add_sink(ToolSink(factory())) for factory in tool_factories
         ]
         replay(events, device=device)
         for sink, bucket in zip(sinks, per_factory):

@@ -21,7 +21,7 @@ fire during replay dispatch exactly where they fired live.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from repro.engine.bus import EventBus
 from repro.engine.trace import RunMarker, Trace, TraceSink
@@ -112,28 +112,7 @@ def replay(
     attached tools and ``device.runs``.
     """
     if device is None and config is None:
-        if isinstance(events, (list, Trace)):
-            # Materialized input: scan for the header without consuming.
-            config = next(
-                (e for e in events if isinstance(e, GPUConfig)), TITAN_RTX
-            )
-        else:
-            # Lazy stream (a coltrace chunk generator, a JSONL line
-            # reader): peek just past the preamble — the GPUConfig header
-            # precedes the first run's events — then chain the buffer
-            # back, so the stream is never materialized whole.
-            iterator = iter(events)
-            buffered: list = []
-            for event in iterator:
-                buffered.append(event)
-                if isinstance(event, GPUConfig):
-                    config = event
-                    break
-                if not isinstance(event, RunMarker):
-                    break
-            if config is None:
-                config = TITAN_RTX
-            events = itertools.chain(buffered, iterator)
+        config, events = peek_gpu_config(events)
     if device is None:
         device = ReplayDevice(config)
     for tool in tools:
@@ -162,23 +141,70 @@ def replay(
     return device
 
 
+def peek_gpu_config(events: Iterable) -> Tuple[GPUConfig, Iterable]:
+    """The stream's recorded :class:`GPUConfig` header, and the stream.
+
+    A materialized input (a list or :class:`Trace`) is scanned without
+    being consumed.  A lazy stream (a coltrace chunk generator, a JSONL
+    line reader) is peeked just past the preamble — the header precedes
+    the first run's events — and the buffered records are chained back,
+    so the stream is never materialized whole.  Without a header the
+    config is :data:`TITAN_RTX`.
+    """
+    if isinstance(events, (list, Trace)):
+        config = next(
+            (e for e in events if isinstance(e, GPUConfig)), TITAN_RTX
+        )
+        return config, events
+    iterator = iter(events)
+    buffered: list = []
+    config = TITAN_RTX
+    for event in iterator:
+        buffered.append(event)
+        if isinstance(event, GPUConfig):
+            config = event
+            break
+        if not isinstance(event, RunMarker):
+            break
+    return config, itertools.chain(buffered, iterator)
+
+
+def launch_info(event: LaunchEvent, device) -> LaunchInfo:
+    """Rebuild the :class:`LaunchInfo` a recorded launch began with."""
+    return LaunchInfo(
+        kernel_name=event.kernel_name,
+        grid_dim=event.grid_dim,
+        block_dim=event.block_dim,
+        warp_size=event.warp_size,
+        warps_per_block=event.warps_per_block,
+        num_threads=event.num_threads,
+        timing=TimingBreakdown(parallelism=event.parallelism),
+        device=device,
+        seed=event.seed,
+        static_instruction_count=event.static_instruction_count,
+    )
+
+
+def kernel_run(event: KernelEndEvent, launch: LaunchInfo) -> KernelRun:
+    """Rebuild the :class:`KernelRun` a recorded launch ended with."""
+    return KernelRun(
+        kernel_name=event.kernel_name,
+        grid_dim=launch.grid_dim,
+        block_dim=launch.block_dim,
+        num_threads=launch.num_threads,
+        batches=event.batches,
+        instructions=event.instructions,
+        timed_out=event.timed_out,
+        timing=launch.timing,
+    )
+
+
 def _replay_one(device, event, launch: Optional[LaunchInfo]):
     """Dispatch one trace record; returns the (possibly new) launch."""
     if isinstance(event, AllocEvent):
         device.bus.publish_alloc(device.memory.restore(event))
     elif isinstance(event, LaunchEvent):
-        launch = LaunchInfo(
-            kernel_name=event.kernel_name,
-            grid_dim=event.grid_dim,
-            block_dim=event.block_dim,
-            warp_size=event.warp_size,
-            warps_per_block=event.warps_per_block,
-            num_threads=event.num_threads,
-            timing=TimingBreakdown(parallelism=event.parallelism),
-            device=device,
-            seed=event.seed,
-            static_instruction_count=event.static_instruction_count,
-        )
+        launch = launch_info(event, device)
         device.bus.publish_launch_begin(launch)
     elif isinstance(event, MemoryEvent):
         device.bus.publish_memory(event, launch)
@@ -195,16 +221,7 @@ def _replay_one(device, event, launch: Optional[LaunchInfo]):
             device.bus.publish_timeout(launch)
         else:
             device.bus.publish_launch_end(launch)
-        run = KernelRun(
-            kernel_name=event.kernel_name,
-            grid_dim=launch.grid_dim,
-            block_dim=launch.block_dim,
-            num_threads=launch.num_threads,
-            batches=event.batches,
-            instructions=event.instructions,
-            timed_out=event.timed_out,
-            timing=launch.timing,
-        )
+        run = kernel_run(event, launch)
         device.runs.append(run)
         device.bus.publish_kernel_end(run, launch)
         launch = None

@@ -89,15 +89,6 @@ def main(argv=None) -> int:
              "supports parallel fan-out (default: 1)",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="set IGUARD_SHARDS: every detector the experiments build "
-             "partitions its per-launch check work across N shards "
-             "(byte-identical tables for any N)",
-    )
-    parser.add_argument(
         "--chaos",
         default=None,
         metavar="SPEC",
@@ -138,15 +129,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.resume and not args.checkpoint:
         parser.error("--resume requires --checkpoint")
-    # Chaos/shards/timeout/checkpoint arm process-wide state the suite
-    # executor and detector constructors consult, so no experiment driver
-    # needs new parameters.
-    if args.shards is not None:
-        import os
-
-        from repro.core import sharding
-
-        os.environ[sharding.ENV_VAR] = str(args.shards)
+    # Chaos/timeout/checkpoint arm process-wide state the suite executor
+    # consults, so no experiment driver needs new parameters.
     if args.chaos is not None:
         import os
 

@@ -10,10 +10,10 @@ extension):
 - ``info`` — summarize a trace file (format, events by type, runs);
 - ``replay`` — run a detector over a trace file and print (or write as
   canonical JSON) the merged workload report.  ``--batched`` replays
-  through the batch-sharded adapters instead of per-event dispatch;
-  reports are byte-identical either way, and byte-identical across the
-  two container formats, which is what CI's convert-replay-compare step
-  enforces.
+  iGUARD with its checks queued and drained at synchronization
+  boundaries instead of run per event; reports are byte-identical either
+  way, and byte-identical across the two container formats, which is
+  what CI's convert-replay-compare step enforces.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
 
 from repro.obs import (
     add_observability_args,
@@ -85,23 +84,18 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _replay_factory(detector: str, shards: Optional[int], batched: bool):
-    from repro.core.detector import IGuard
-    from repro.workloads.runner import DetectorFactory
-
+def _replay_factory(detector: str, batched: bool):
     if detector == "fasttrack":
         from repro.baselines import FastTrack
 
-        if batched:
-            from repro.core.sharding import BatchShardedFastTrack
-
-            return DetectorFactory(BatchShardedFastTrack, shards=shards)
-        return DetectorFactory(FastTrack, shards=shards)
+        return FastTrack
     if batched:
-        from repro.core.sharding import BatchShardedIGuard
+        from repro.core.sharding import BatchedIGuard
 
-        return DetectorFactory(BatchShardedIGuard, shards=shards)
-    return DetectorFactory(IGuard, shards=shards)
+        return BatchedIGuard
+    from repro.core.detector import IGuard
+
+    return IGuard
 
 
 def _cmd_replay(args) -> int:
@@ -109,7 +103,7 @@ def _cmd_replay(args) -> int:
     from repro.engine.trace import Trace
 
     trace = Trace.load(args.path)
-    factory = _replay_factory(args.detector, args.shards, args.batched)
+    factory = _replay_factory(args.detector, args.batched)
     result = replay_workload(trace, factory, args.workload_name)
     output(
         f"{result.workload} under {result.detector}: "
@@ -119,9 +113,9 @@ def _cmd_replay(args) -> int:
     for ip, race_type in result.race_sites:
         output(f"  [{race_type}] {ip}")
     if args.report_json:
-        # The runner's canonical report payload, verbatim: sharded,
-        # batched, serial, JSONL and columnar replays of the same trace
-        # all produce byte-identical files.
+        # The runner's canonical report payload, verbatim: batched,
+        # serial, JSONL and columnar replays of the same trace all
+        # produce byte-identical files.
         payload = {
             "workload": result.workload,
             "detector": result.detector,
@@ -190,14 +184,10 @@ def main(argv=None) -> int:
         "--detector", default="iguard", choices=["iguard", "fasttrack"],
     )
     replay.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="partition per-launch check work across N detector shards",
-    )
-    replay.add_argument(
         "--batched", action="store_true",
-        help="drain per-shard queues in batches at synchronization "
-             "boundaries instead of dispatching per event "
-             "(byte-identical reports)",
+        help="queue iGUARD's checks and drain them at synchronization "
+             "boundaries instead of checking per event (byte-identical "
+             "reports; FastTrack always checks per event)",
     )
     replay.add_argument(
         "--workload-name", default="replay", metavar="NAME",

@@ -14,13 +14,13 @@ invent one.
 Wrap points (all per-event):
 
 - :func:`repro.engine.replay.replay` — the serial bus-publish loop;
-- :class:`repro.core.sharding._ShardedDrain` — the batched/columnar
+- :class:`repro.core.sharding._BatchedDrain` — the batched/columnar
   inlined front-end loop;
 - :meth:`repro.core.engine.DetectorCore.handle` and the ``check_run``
-  drain loops — the routed check itself, shared by every mode, so a
-  poison event that survives the front-end quarantines *identically*
-  in serial, sharded, and columnar replays (byte-identical reports on
-  all non-quarantined records).
+  drain loop — the check itself, shared by every mode, so a poison
+  event that survives the front-end quarantines *identically* in
+  serial, batched, and columnar replays (byte-identical reports on all
+  non-quarantined records).
 
 Deliberate non-absorptions: every :class:`~repro.errors.ReproError`
 (Unsupported/OOM/Timeout/Deadlock are policy signals, corruption and

@@ -299,11 +299,6 @@ def main(argv=None) -> int:
         help="serve cells already journaled in --checkpoint",
     )
     parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="set IGUARD_SHARDS for this run: partition each cell's "
-             "detector across N shards (byte-identical reports for any N)",
-    )
-    parser.add_argument(
         "--chaos", default=None, metavar="SPEC",
         help="set IGUARD_CHAOS for this run, e.g. 'crash=0.25,seed=11'",
     )
@@ -319,20 +314,11 @@ def main(argv=None) -> int:
         from repro.faults import chaos as chaos_module
 
         os.environ[chaos_module.ENV_VAR] = args.chaos
-    if args.shards is not None:
-        # Like --chaos: env-armed process-wide state, inherited by worker
-        # processes, so the gate cells need no new plumbing.
-        from repro.core import sharding
-
-        os.environ[sharding.ENV_VAR] = str(args.shards)
     begin_observability(args)
 
-    from repro.core.sharding import default_shards
     from repro.obs.log import log_run_config
 
-    log_run_config(
-        backend="iguard", shards=default_shards(), workers=args.workers
-    )
+    log_run_config(backend="iguard", workers=args.workers)
 
     journal = (
         ckpt.CellJournal(args.checkpoint, resume=args.resume)

@@ -81,7 +81,6 @@ def get_logger(name: str = "") -> logging.Logger:
 
 def log_run_config(
     backend: str,
-    shards: int,
     workers: int,
     logger: Optional[logging.Logger] = None,
 ) -> None:
@@ -89,16 +88,10 @@ def log_run_config(
 
     Emitted once at startup by the entry points (runner, recall gate)
     so any log capture states how the run was configured — which
-    detector backend, how many detector shards partition the per-launch
-    check work, and how many worker processes fan cells out.
+    detector backend, and how many worker processes fan cells out.
     """
     log = logger if logger is not None else get_logger("config")
-    log.info(
-        "run config: backend=%s shards=%d workers=%d",
-        backend,
-        shards,
-        workers,
-    )
+    log.info("run config: backend=%s workers=%d", backend, workers)
 
 
 def output(*parts: object, sep: str = " ", end: str = "\n") -> None:

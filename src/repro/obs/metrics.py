@@ -279,12 +279,6 @@ class _HotMetrics:
         self.quarantined_events = registry.counter("quarantine.events")
         self.backpressure_drains = registry.counter("shard.backpressure_drains")
         self.pool_memo_evictions = registry.counter("trace.pool_memo_evictions")
-        # Sharded detection core (repro.core.sharding).
-        self.shard_routed = registry.counter("shard.events_routed")
-        self.shard_broadcast = registry.counter("shard.events_broadcast")
-        self.shard_flushes = registry.counter("shard.queue_flushes")
-        self.shard_queue_depth = registry.histogram("shard.queue_depth")
-        self.shard_imbalance = registry.gauge("shard.imbalance")
         # Columnar trace container (repro.engine.coltrace).
         self.trace_chunks = registry.counter("trace.chunks_decoded")
         self.trace_rows = registry.counter("trace.rows_decoded")

@@ -2,14 +2,12 @@
 
 Renders a :mod:`repro.obs.metrics` registry snapshot as OpenMetrics text
 (the Prometheus exposition format) and serves it over an embedded HTTP
-endpoint, so a long ``--workers N --shards M`` run is scrapeable while
-in flight:
+endpoint, so a long ``--workers N`` run is scrapeable while in flight:
 
 - ``GET /metrics`` — the registry snapshot, live.  Dotted metric names
   become underscore families with an ``iguard_`` prefix; the per-worker
   counters the parallel executor accumulates
-  (``parallel.worker.<pid>.cells``) and per-shard series
-  (``shard.<i>.queue_depth``) fold into **labelled families**
+  (``parallel.worker.<pid>.cells``) fold into **labelled families**
   (``iguard_parallel_worker_cells_total{pid="1234"}``), and the
   supervisor's heartbeat channel contributes per-worker liveness gauges.
   Histograms render as cumulative ``le`` buckets derived from the
@@ -46,7 +44,6 @@ CONTENT_TYPE = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 #: Registry name patterns that fold into labelled families.
 _LABEL_RULES: Tuple[Tuple[re.Pattern, str, str], ...] = (
     (re.compile(r"^parallel\.worker\.(\d+)\.(.+)$"), "parallel.worker.{rest}", "pid"),
-    (re.compile(r"^shard\.(\d+)\.(.+)$"), "shard.{rest}", "shard"),
 )
 
 _INVALID_CHARS = re.compile(r"[^a-zA-Z0-9_]")

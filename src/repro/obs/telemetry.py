@@ -2,7 +2,7 @@
 
 The flight recorder (:mod:`repro.obs.metrics`) materializes one snapshot
 at process exit, which is useless for asking *where is this run right
-now* — a stalled worker or a hot shard in a long ``--workers N`` suite
+now* — a stalled worker in a long ``--workers N`` suite
 is invisible until the end.  This module adds the live layer:
 
 - :class:`TelemetrySampler` — a daemon thread that snapshots the default

@@ -9,10 +9,6 @@ small set of operational verdicts:
     A worker's heartbeat shows the same cell running longer than the
     stall threshold — the live version of the supervisor's soft-timeout
     warning, visible over ``/healthz`` while the cell is still stuck.
-``shard_imbalance``
-    The ``shard.imbalance`` gauge (max/mean events per shard) exceeds
-    its ratio once enough events have been routed to make the ratio
-    meaningful.
 ``retry_burn``
     Cell retries are burning budget faster than the per-minute
     threshold; at this rate the run ends in ``RetryExhaustedError``.
@@ -31,8 +27,8 @@ still exits 0 — the watchdog reports, the retry/timeout machinery in
 
 Thresholds come from :class:`WatchdogConfig`, overridable with the
 ``IGUARD_WATCHDOG`` env spec (``key=value`` pairs, comma-separated, same
-grammar as ``IGUARD_CHAOS``): ``stall_s``, ``imbalance_ratio``,
-``imbalance_min_events``, ``retries_per_min``, ``quarantine_events``.
+grammar as ``IGUARD_CHAOS``): ``stall_s``, ``retries_per_min``,
+``quarantine_events``.
 """
 
 from __future__ import annotations
@@ -55,10 +51,6 @@ class WatchdogConfig:
 
     #: A running cell older than this many seconds is a stall finding.
     stall_s: float = 30.0
-    #: shard.imbalance (max/mean) above this fires shard_imbalance ...
-    imbalance_ratio: float = 2.0
-    #: ... but only once this many events have been routed in total.
-    imbalance_min_events: int = 10_000
     #: Retry deltas scaled to a per-minute rate above this fire retry_burn.
     retries_per_min: float = 6.0
     #: Cumulative quarantined (poison) events at or above this fire
@@ -87,8 +79,6 @@ class WatchdogConfig:
     def as_dict(self) -> dict:
         return {
             "stall_s": self.stall_s,
-            "imbalance_ratio": self.imbalance_ratio,
-            "imbalance_min_events": self.imbalance_min_events,
             "retries_per_min": self.retries_per_min,
             "quarantine_events": self.quarantine_events,
         }
@@ -144,7 +134,6 @@ class Watchdog:
         self.ticks += 1
         fired: List[Finding] = []
         fired.extend(self._check_worker_stall(heartbeats, now))
-        fired.extend(self._check_shard_imbalance(totals, now))
         fired.extend(self._check_retry_burn(sample, now))
         fired.extend(self._check_quarantine(totals, now))
         return fired
@@ -183,31 +172,6 @@ class Watchdog:
                 )
             )
         return fired
-
-    def _check_shard_imbalance(
-        self, totals: Dict[str, dict], now: float
-    ) -> List[Finding]:
-        routed = totals.get("shard.events_routed", {}).get("value", 0)
-        if routed < self.config.imbalance_min_events:
-            return []
-        ratio = totals.get("shard.imbalance", {}).get("value", 0.0)
-        if ratio <= self.config.imbalance_ratio:
-            return []
-        return [
-            self._record(
-                rule="shard_imbalance",
-                subject="shards",
-                level="warning",
-                message=(
-                    f"shard imbalance {ratio:.2f}x exceeds "
-                    f"{self.config.imbalance_ratio:.2f}x over "
-                    f"{routed} routed events — one shard is hot"
-                ),
-                value=ratio,
-                now=now,
-                detail={"imbalance": round(ratio, 3), "events_routed": routed},
-            )
-        ]
 
     def _check_retry_burn(self, sample, now: float) -> List[Finding]:
         delta = sample.counters.get("parallel.retries", 0)

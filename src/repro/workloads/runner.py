@@ -63,27 +63,6 @@ def detector_name(tool_factory: ToolFactory) -> str:
     return tool_factory().name
 
 
-class DetectorFactory:
-    """A picklable tool factory binding a detector class to a shard count.
-
-    Seed cells ship their factory to worker processes, so a bare lambda
-    closing over ``shards`` would break ``workers > 1``.  This wrapper
-    stays picklable (class + int) and exposes the detector's ``name``
-    attribute so :func:`detector_name` resolves it without instantiating.
-    """
-
-    def __init__(self, cls, shards: Optional[int] = None):
-        self.cls = cls
-        self.shards = shards
-        self.name = cls.name
-
-    def __call__(self, shards: Optional[int] = None) -> Tool:
-        shards = shards if shards is not None else self.shards
-        if shards is None:
-            return self.cls()
-        return self.cls(shards=shards)
-
-
 @dataclass
 class SeedOutcome:
     """What one (workload, detector, seed) cell produced.
@@ -508,16 +487,9 @@ def main(argv=None) -> int:
         help="fan seed cells out over N worker processes",
     )
     parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="partition per-launch check work across N detector shards "
-             "(default: IGUARD_SHARDS or 1); reports are byte-identical "
-             "to serial for any N",
-    )
-    parser.add_argument(
         "--report-json", default=None, metavar="PATH",
         help="write the merged result (status, sites, timing) as "
-             "canonical JSON to PATH — sharded and serial runs produce "
-             "byte-identical files",
+             "canonical JSON to PATH",
     )
     parser.add_argument(
         "--seeds", default=None, metavar="S1,S2",
@@ -546,11 +518,10 @@ def main(argv=None) -> int:
 
     from repro.baselines import Barracuda, CURD, FastTrack, ScoRD
     from repro.core.detector import IGuard
-    from repro.core.sharding import default_shards
     from repro.obs.log import log_run_config
     from repro.workloads.registry import get_workload
 
-    detector_cls = {
+    factory: ToolFactory = {
         "iguard": IGuard,
         "barracuda": Barracuda,
         "scord": ScoRD,
@@ -558,12 +529,6 @@ def main(argv=None) -> int:
         "fasttrack": FastTrack,
         "native": None,
     }[args.detector]
-    shards = args.shards if args.shards is not None else default_shards()
-    factory: ToolFactory = (
-        DetectorFactory(detector_cls, shards=shards)
-        if detector_cls is not None
-        else None
-    )
     workload = get_workload(args.workload)
     seeds = (
         tuple(int(s) for s in args.seeds.split(",")) if args.seeds else None
@@ -574,8 +539,7 @@ def main(argv=None) -> int:
         else None
     )
     log_run_config(
-        backend=args.detector, shards=shards, workers=args.workers,
-        logger=logger,
+        backend=args.detector, workers=args.workers, logger=logger
     )
     result = run_workload(
         workload, factory, seeds=seeds, workers=args.workers,

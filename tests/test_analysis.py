@@ -9,7 +9,7 @@ Two layers of pinning:
    and dynamic verdicts are pinned to one shared ground truth.
 2. **The soundness property** — over *generated* fuzz programs, any
    site the analyzer proves safe must never be the site of a dynamic
-   race report, for any scheduler seed and shard count.
+   race report, for any scheduler seed.
 """
 
 from __future__ import annotations
@@ -157,9 +157,9 @@ class TestLintDocument:
 # ---------------------------------------------------------------------------
 
 
-def _dynamic_sites(workload, seed, shards):
+def _dynamic_sites(workload, seed):
     device = Device(SIM_GPU)
-    tool = device.add_tool(IGuard(shards=shards))
+    tool = device.add_tool(IGuard())
     workload.run(device, seed)
     return {str(ip) for ip, _ in tool.races.sites()}
 
@@ -169,20 +169,19 @@ class TestSoundness:
     @given(
         program_seed=st.integers(min_value=0, max_value=10_000),
         scheduler_seed=st.integers(min_value=0, max_value=7),
-        shards=st.sampled_from([1, 4]),
     )
     def test_static_safe_sites_never_race_dynamically(
-        self, program_seed, scheduler_seed, shards
+        self, program_seed, scheduler_seed
     ):
         statements = gen_program(SplitMix64(program_seed))
         workload = program_workload(statements)
         lint = analyze_workload(workload)
         safe = lint.static_safe_sites()
-        dynamic = _dynamic_sites(workload, scheduler_seed, shards)
+        dynamic = _dynamic_sites(workload, scheduler_seed)
         colliding = dynamic & safe
         assert not colliding, (
-            f"program {program_seed} seed {scheduler_seed} "
-            f"shards {shards}: dynamic races at statically-safe sites "
+            f"program {program_seed} seed {scheduler_seed}: "
+            f"dynamic races at statically-safe sites "
             f"{sorted(colliding)}\nstatements: {statements}"
         )
         # The stronger gate the fuzzer enforces: every dynamic site

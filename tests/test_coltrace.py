@@ -10,7 +10,7 @@ Three contracts:
   as the JSONL reader;
 - **replay equivalence** — replaying the columnar container produces
   canonical workload reports byte-identical to the JSONL replay, for
-  IGuard and FastTrack, serial and batch-sharded.
+  IGuard (serial and batched) and FastTrack.
 """
 
 import gzip
@@ -23,12 +23,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import FastTrack
 from repro.core import IGuard
-from repro.core.sharding import (
-    BatchShardedFastTrack,
-    BatchShardedIGuard,
-    replay_columnar_sharded,
-    shard_of,
-)
+from repro.core.sharding import BatchedIGuard, replay_columnar_sharded
 from repro.engine import Trace, capture_workload, replay_workload
 from repro.engine.coltrace import (
     is_columnar_path,
@@ -39,7 +34,6 @@ from repro.engine.coltrace import (
 )
 from repro.errors import TraceCorruptionError
 from repro.workloads import get_workload
-from repro.workloads.runner import DetectorFactory
 
 from tests.test_engine_trace import _events
 
@@ -116,18 +110,18 @@ class TestColumnarRoundTrip:
         assert trace_main(["convert", str(ctr), str(back)]) == 0
         assert back.read_bytes() == jsonl.read_bytes()
 
-    def test_vectorized_routes_match_scalar_hash(self, tmp_path):
+    def test_vectorized_granules_match_scalar(self, tmp_path):
         trace = capture_workload(get_workload("reduction"), seeds=(1,))
         path = tmp_path / "t.ctr"
         save_columnar(trace.events, path, chunk_rows=128)
+        table = IGuard().table
         checked = 0
         for chunk in iter_chunks(str(path)):
-            granules, shards = chunk.mem_routes(4, 4)
+            granules = chunk.mem_routes(4)
             mem = [e for e in chunk.events() if hasattr(e, "address")]
             assert len(granules) == len(mem)
-            for event, granule, shard in zip(mem, granules, shards):
-                assert granule == event.address >> 2
-                assert shard == shard_of(granule, 4)
+            for event, granule in zip(mem, granules):
+                assert granule == table.granule_of(event.address)
                 checked += 1
         assert checked > 0
 
@@ -211,15 +205,11 @@ def _canonical_report(result):
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _factories(shards):
-    return {
-        "iguard-serial": DetectorFactory(IGuard),
-        "iguard-batched": DetectorFactory(BatchShardedIGuard, shards=shards),
-        "fasttrack-serial": DetectorFactory(FastTrack, shards=1),
-        "fasttrack-batched": DetectorFactory(
-            BatchShardedFastTrack, shards=shards
-        ),
-    }
+_FACTORIES = {
+    "iguard-serial": IGuard,
+    "iguard-batched": BatchedIGuard,
+    "fasttrack-serial": FastTrack,
+}
 
 
 class TestReplayEquivalence:
@@ -235,7 +225,7 @@ class TestReplayEquivalence:
         ctr = tmp_path / "t.ctr"
         trace.save(jsonl)
         trace.save(ctr)
-        for label, factory in _factories(shards=4).items():
+        for label, factory in _FACTORIES.items():
             reports = {
                 str(path): _canonical_report(
                     replay_workload(Trace.load(path), factory, name)
@@ -247,20 +237,20 @@ class TestReplayEquivalence:
 
     @pytest.mark.parametrize("name", RACY[:2] + RACE_FREE[:1])
     def test_streaming_drain_matches_serial_sites(self, name, tmp_path):
-        # The chunk-streaming driver (vectorized routing, batched drain)
+        # The chunk-streaming driver (vectorized granules, batched drain)
         # must find exactly the serial pipeline's races.
         workload = get_workload(name)
         trace = capture_workload(workload, seeds=workload.seeds[:1])
         path = tmp_path / "t.ctr"
         save_columnar(trace.events, path, chunk_rows=256)
-        serial = replay_workload(Trace.load(path), DetectorFactory(IGuard), name)
-        sharded = replay_columnar_sharded(str(path), shards=4)
+        serial = replay_workload(Trace.load(path), IGuard, name)
+        drained = replay_columnar_sharded(str(path))
         streamed = {
             ip: getattr(t, "value", t)
-            for ip, t in sharded.tool.races.sites()
+            for ip, t in drained.tool.races.sites()
         }
         expected = {
             ip: getattr(t, "value", t) for ip, t in serial.race_sites
         }
         assert streamed == expected
-        assert sharded.events > 0
+        assert drained.events > 0

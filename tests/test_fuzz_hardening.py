@@ -5,16 +5,16 @@ Pins the four planks of the hardening PR:
 - resource budgets (``IGUARD_MEM_BUDGET`` / ``IGUARD_QUEUE_CAP`` /
   ``IGUARD_QUARANTINE``) degrade detection by recall only — never a
   false positive, never an abort, and never a report that differs
-  between serial and sharded modes;
+  between serial and batched modes;
 - poison-event quarantine absorbs a raising record identically in every
   replay mode (byte-identical sites + quarantine block across serial,
-  inline-sharded, batched-drain, and routed-drain replays);
+  batched-drain, and precomputed-granule drain replays);
 - the ddmin minimizer and the differential fuzzer are deterministic and
   the shipped triage corpus replays clean;
 - the suite executor degrades to a partial merged report (distinct exit
   code, ``failed_cells`` block) instead of dying when a cell exhausts
   its retries, and ``--resume`` after a mid-run kill reproduces the
-  uninterrupted report byte for byte with ``--shards N`` active.
+  uninterrupted report byte for byte across parallel workers.
 """
 
 import base64
@@ -37,7 +37,7 @@ from repro.common.budget import (
 from repro.common.rng import SplitMix64
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.detector import IGuard
-from repro.core.sharding import _drain_for, replay_trace_sharded, shard_of
+from repro.core.sharding import _drain_for, replay_trace_batched
 from repro.engine.replay import capture_workload, replay
 from repro.engine.trace import Trace
 from repro.errors import (
@@ -224,39 +224,33 @@ class TestPoisonByteIdentity:
         events = _poisoned(captured_events)
 
         def serial():
-            tool = IGuard(shards=1)
-            replay(events, tools=[tool])
-            return tool
-
-        def inline():
-            tool = IGuard(shards=3)
+            tool = IGuard()
             replay(events, tools=[tool])
             return tool
 
         def batched():
-            return replay_trace_sharded(events, shards=3).tool
+            return replay_trace_batched(events).tool
 
         def routed():
-            # The columnar drain path: routes precomputed before the
+            # The columnar drain path: granules precomputed before the
             # drain loop, exactly like Chunk.mem_routes feeds them.
             gpu = next(
                 (e for e in events if isinstance(e, GPUConfig)), TITAN_RTX
             )
-            drain = _drain_for(DEFAULT_CONFIG, 3, None, gpu)
-            granule_of = drain.tool.cores[0].table.granule_of
-            routes = iter(
+            drain = _drain_for(DEFAULT_CONFIG, None, gpu)
+            granule_of = drain.tool.table.granule_of
+            granules = iter(
                 [
-                    (granule_of(e.address), shard_of(granule_of(e.address), 3))
+                    granule_of(e.address)
                     for e in events
                     if isinstance(e, MemoryEvent)
                 ]
             )
-            drain.feed(events, routes=routes)
+            drain.feed(events, granules=granules)
             return drain.result().tool
 
         legs = {
             "serial": _leg(serial),
-            "inline": _leg(inline),
             "batched": _leg(batched),
             "routed": _leg(routed),
         }
@@ -277,7 +271,7 @@ class TestPoisonByteIdentity:
 
     @staticmethod
     def _replay(events):
-        tool = IGuard(shards=1)
+        tool = IGuard()
         replay(events, tools=[tool])
         return tool
 
@@ -287,11 +281,9 @@ class TestPoisonByteIdentity:
         monkeypatch.setenv("IGUARD_QUARANTINE", "0")
         events = _poisoned(captured_events)
         with pytest.raises(TypeError):
-            replay(events, tools=[IGuard(shards=1)])
+            replay(events, tools=[IGuard()])
         with pytest.raises(TypeError):
-            replay(events, tools=[IGuard(shards=3)])
-        with pytest.raises(TypeError):
-            replay_trace_sharded(events, shards=3)
+            replay_trace_batched(events)
 
 
 # ---------------------------------------------------------------------------
@@ -303,23 +295,20 @@ class TestMemBudget:
     def test_caps_metadata_tables(self, monkeypatch):
         monkeypatch.setenv("IGUARD_MEM_BUDGET", "1k")
         entry = DEFAULT_CONFIG.metadata_entry_bytes
-        tool = IGuard(shards=1)
-        assert tool.cores[0].table.max_entries == 1024 // entry
-        sharded = IGuard(shards=4)
-        for core in sharded.cores:
-            assert core.table.max_entries == 1024 // entry // 4
+        tool = IGuard()
+        assert tool.table.max_entries == 1024 // entry
 
     def test_explicit_cap_wins_over_budget(self, monkeypatch):
         monkeypatch.setenv("IGUARD_MEM_BUDGET", "1k")
         config = replace(DEFAULT_CONFIG, metadata_max_entries=5)
-        tool = IGuard(config=config, shards=1)
-        assert tool.cores[0].table.max_entries == 5
+        tool = IGuard(config=config)
+        assert tool.table.max_entries == 5
 
     def test_budgeted_run_loses_only_recall(
         self, captured_events, monkeypatch
     ):
         def run():
-            tool = IGuard(shards=1)
+            tool = IGuard()
             replay(captured_events, tools=[tool])
             return _sites(tool)
 
@@ -409,20 +398,16 @@ class TestDecoderLimits:
 class TestQueueBackpressure:
     def test_tiny_cap_is_output_identical(self, captured_events, monkeypatch):
         monkeypatch.delenv("IGUARD_QUEUE_CAP", raising=False)
-        reference = _leg(
-            lambda: replay_trace_sharded(captured_events, shards=3).tool
-        )
+        reference = _leg(lambda: replay_trace_batched(captured_events).tool)
         monkeypatch.setenv("IGUARD_QUEUE_CAP", "7")
-        capped = _leg(
-            lambda: replay_trace_sharded(captured_events, shards=3).tool
-        )
+        capped = _leg(lambda: replay_trace_batched(captured_events).tool)
         assert capped == reference
 
     def test_batched_driver_cap_identical(self, captured_events, monkeypatch):
-        from repro.core.sharding import BatchShardedIGuard
+        from repro.core.sharding import BatchedIGuard
 
         def run():
-            tool = BatchShardedIGuard(shards=3)
+            tool = BatchedIGuard()
             replay(captured_events, tools=[tool])
             return tool
 
@@ -590,7 +575,7 @@ class TestPartialReport:
         monkeypatch.setattr(runner_module, "parallel_map", exploding_map)
         result = runner_module.run_workload(
             get_workload("1dconv"),
-            runner_module.DetectorFactory(IGuard, shards=1),
+            IGuard,
             seeds=(1, 2),
             workers=2,
         )
@@ -626,11 +611,11 @@ class TestPartialReport:
 
 
 # ---------------------------------------------------------------------------
-# Resume after a mid-run kill with sharding active (satellite)
+# Resume after a mid-run kill across parallel workers
 # ---------------------------------------------------------------------------
 
 
-class TestShardedResumeAfterKill:
+class TestResumeAfterKill:
     def test_resume_reproduces_uninterrupted_report(self, tmp_path):
         from repro.workloads import runner as runner_module
 
@@ -638,7 +623,6 @@ class TestShardedResumeAfterKill:
         rc = runner_module.main(
             [
                 "--workload", "1dconv",
-                "--shards", "2",
                 "--workers", "2",
                 "--report-json", str(base),
             ]
@@ -650,7 +634,6 @@ class TestShardedResumeAfterKill:
         rc = runner_module.main(
             [
                 "--workload", "1dconv",
-                "--shards", "2",
                 "--workers", "2",
                 "--checkpoint", str(journal),
                 "--report-json", str(full),
@@ -668,7 +651,6 @@ class TestShardedResumeAfterKill:
         rc = runner_module.main(
             [
                 "--workload", "1dconv",
-                "--shards", "2",
                 "--workers", "2",
                 "--checkpoint", str(journal),
                 "--resume",

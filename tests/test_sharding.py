@@ -1,232 +1,27 @@
-"""The sharded detection core: routing, merging, and mode equivalence.
+"""The batched replay drain: one queue of checks, drained in stream order.
 
-The sharding contract is byte-identical detection output for any shard
-count, in every mode: live in-process cores behind one adapter, the
-batched drain driver, and the process-pool replica merge.  These tests
-pin the contract against real workloads for all five backends, plus the
-deterministic-merge regression (shuffled records re-sort to the exact
-serial report order) and the router/config units.
+The drain's contract is byte-identical detection output to the serial
+event bus.  These tests pin it against real workloads: race sites and
+checked-event counts match serial, and — because the one queue keeps
+stream order — the dynamic race records reach the log in exactly the
+serial order, with no re-sort.
 """
-
-import random
-from dataclasses import replace
 
 import pytest
 
-from repro.baselines import Barracuda, CURD, FastTrack, ScoRD
 from repro.core import IGuard
 from repro.core.config import DEFAULT_CONFIG
-from repro.core.report import RaceRecord, RaceType, merge_race_records
 from repro.core.sharding import (
-    BatchShardedIGuard,
-    default_shards,
-    replay_trace_sharded,
-    replay_workload_sharded,
-    shard_of,
+    BatchedIGuard,
+    replay_columnar_sharded,
+    replay_trace_batched,
 )
-from repro.engine.fanout import run_workload_fanout
-from repro.engine.replay import capture_workload, replay_workload
-from repro.errors import ConfigError
-from repro.obs import metrics as obs_metrics
-from repro.obs.metrics import HOT
-from repro.workloads.registry import get_workload
-from repro.workloads.runner import DetectorFactory, run_workload
+from repro.engine.coltrace import save_columnar
+from repro.engine.replay import capture_workload, replay, replay_workload
+from repro.workloads.registry import get_workload, racy_workloads
 
 
-# ---------------------------------------------------------------------------
-# Router and config units
-# ---------------------------------------------------------------------------
-
-
-class TestShardRouter:
-    def test_single_shard_is_always_zero(self):
-        assert all(shard_of(key, 1) == 0 for key in range(0, 4096, 7))
-
-    def test_stays_in_range_and_is_deterministic(self):
-        for shards in (2, 3, 4, 7, 16):
-            for key in (0, 1, 63, 64, 1 << 20, (1 << 63) + 5):
-                shard = shard_of(key, shards)
-                assert 0 <= shard < shards
-                assert shard == shard_of(key, shards)
-
-    def test_strided_sweep_spreads_across_shards(self):
-        # Bare modulus aliases strided address sweeps (granule += 1 per
-        # thread) onto few shards; the multiplicative mix must not.
-        for stride in (1, 2, 8, 64):
-            hit = {shard_of(key * stride, 4) for key in range(256)}
-            assert len(hit) == 4, stride
-
-    def test_default_shards_env(self, monkeypatch):
-        monkeypatch.delenv("IGUARD_SHARDS", raising=False)
-        assert default_shards() == 1
-        monkeypatch.setenv("IGUARD_SHARDS", "6")
-        assert default_shards() == 6
-        monkeypatch.setenv("IGUARD_SHARDS", "0")
-        assert default_shards() == 1
-        monkeypatch.setenv("IGUARD_SHARDS", "banana")
-        assert default_shards() == 1
-
-
-class TestShardConfigRestrictions:
-    def test_zero_shards_rejected(self):
-        with pytest.raises(ConfigError):
-            IGuard(shards=0)
-
-    def test_metadata_cap_incompatible_with_sharding(self):
-        capped = replace(DEFAULT_CONFIG, metadata_max_entries=64)
-        with pytest.raises(ConfigError):
-            IGuard(config=capped, shards=2)
-        # A single shard is the serial detector; the cap stays legal.
-        IGuard(config=capped, shards=1)
-
-    def test_history_ablation_allowed(self):
-        # Accessor history partitions cleanly by granule.
-        IGuard(config=DEFAULT_CONFIG.with_history(4), shards=4)
-
-
-# ---------------------------------------------------------------------------
-# Deterministic merge (satellite S2)
-# ---------------------------------------------------------------------------
-
-
-def _record(ip, race_type, launch_index, batch, warp_id, lane, granule):
-    return RaceRecord(
-        race_type=race_type,
-        kernel="kern",
-        ip=ip,
-        access="store",
-        address=granule * 8,
-        location=f"data[{granule}]",
-        warp_id=warp_id,
-        lane=lane,
-        block_id=0,
-        prev_warp_id=0,
-        prev_lane=0,
-        launch_index=launch_index,
-        batch=batch,
-        granule=granule,
-    )
-
-
-class TestDeterministicMerge:
-    def _canonical_records(self):
-        # Serial emission order: launches, then batches, then lanes of the
-        # batch's warp, then granule/ip within one lane's coalesced run.
-        return [
-            _record("k:1", RaceType.ITS, 0, 3, 0, 0, 10),
-            _record("k:2", RaceType.ATOMIC_SCOPE, 0, 3, 0, 1, 11),
-            _record("k:1", RaceType.INTRA_BLOCK, 0, 5, 1, 0, 10),
-            _record("k:3", RaceType.INTER_BLOCK, 1, 0, 0, 0, 12),
-            _record("k:3", RaceType.IMPROPER_LOCKING, 1, 0, 0, 2, 12),
-            _record("k:4", RaceType.INTER_BLOCK, 1, 2, 2, 0, 13),
-        ]
-
-    def test_shuffled_records_resort_to_serial_order(self):
-        canonical = self._canonical_records()
-        serial = merge_race_records([canonical], capacity=1 << 20)
-
-        rng = random.Random(42)
-        for _ in range(25):
-            shuffled = list(canonical)
-            rng.shuffle(shuffled)
-            # Split into ragged shard-local lists, as the pool mode would.
-            cut = rng.randint(0, len(shuffled))
-            merged = merge_race_records(
-                [shuffled[:cut], shuffled[cut:]], capacity=1 << 20
-            )
-            assert merged.records() == serial.records()
-            assert merged.sites() == serial.sites()
-
-    def test_first_record_wins_site_type(self):
-        # Two records at one ip with different types: the serially-first
-        # one (lower batch) defines the site's type even when shards
-        # deliver them in the opposite order.
-        late = _record("k:9", RaceType.INTER_BLOCK, 0, 7, 0, 0, 20)
-        early = _record("k:9", RaceType.ITS, 0, 2, 0, 0, 21)
-        merged = merge_race_records([[late], [early]], capacity=1 << 20)
-        assert dict(merged.sites())["k:9"] is RaceType.ITS
-
-    def test_stable_sort_preserves_same_key_multiplicity(self):
-        twin = _record("k:5", RaceType.INTER_BLOCK, 0, 1, 0, 0, 30)
-        merged = merge_race_records([[twin, twin]], capacity=1 << 20)
-        assert len(merged.records()) == 2
-
-
-# ---------------------------------------------------------------------------
-# Live in-process sharding: byte-identical results, every backend
-# ---------------------------------------------------------------------------
-
-
-_BACKENDS = [IGuard, Barracuda, ScoRD, CURD, FastTrack]
-
-
-def _fingerprint(result):
-    return (
-        result.status,
-        result.races,
-        result.race_sites,
-        result.overhead,
-        result.total_time,
-        tuple(sorted(result.breakdown.items())),
-    )
-
-
-class TestLiveShardingIdentity:
-    @pytest.mark.parametrize("cls", _BACKENDS, ids=lambda c: c.name)
-    def test_all_backends_identical_at_three_shards(self, cls):
-        workload = get_workload("matrix-mult")
-        serial = run_workload(workload, cls)
-        sharded = run_workload(workload, DetectorFactory(cls, shards=3))
-        assert _fingerprint(sharded) == _fingerprint(serial)
-
-    def test_iguard_identical_on_racy_workload(self):
-        workload = get_workload("reduction")
-        serial = run_workload(workload, IGuard)
-        for shards in (2, 5):
-            sharded = run_workload(
-                workload, DetectorFactory(IGuard, shards=shards)
-            )
-            assert _fingerprint(sharded) == _fingerprint(serial)
-
-    def test_fanout_threads_shards_through(self):
-        workload = get_workload("matrix-mult")
-        solo = run_workload(workload, IGuard)
-        fanned = run_workload_fanout(
-            workload, [IGuard, Barracuda], shards=2
-        )
-        assert _fingerprint(fanned[0]) == _fingerprint(solo)
-
-    def test_shard_metrics_populated(self):
-        was_enabled = obs_metrics.metrics_enabled()
-        try:
-            obs_metrics.set_enabled(True)
-            routed_before = HOT.shard_routed.value
-            broadcast_before = HOT.shard_broadcast.value
-            run_workload(
-                get_workload("reduction"),
-                DetectorFactory(IGuard, shards=4),
-            )
-            assert HOT.shard_routed.value > routed_before
-            assert HOT.shard_broadcast.value > broadcast_before
-            assert HOT.shard_imbalance.value >= 1.0
-        finally:
-            obs_metrics.set_enabled(was_enabled)
-
-    def test_detector_factory_is_picklable(self):
-        import pickle
-
-        factory = DetectorFactory(IGuard, shards=4)
-        clone = pickle.loads(pickle.dumps(factory))
-        assert clone.name == "iGUARD"
-        assert clone().shards == 4
-
-
-# ---------------------------------------------------------------------------
-# Batched drain driver and process-pool replica modes
-# ---------------------------------------------------------------------------
-
-
-class TestBatchedAndPoolModes:
+class TestBatchedDrain:
     @pytest.mark.parametrize("name", ["matrix-mult", "reduction"])
     def test_batched_replay_sites_match_serial(self, name):
         workload = get_workload(name)
@@ -234,7 +29,7 @@ class TestBatchedAndPoolModes:
         serial = replay_workload(trace, IGuard, workload.name)
         sites = {}
         for _seed, events in trace.runs():
-            outcome = replay_trace_sharded(list(events), shards=4)
+            outcome = replay_trace_batched(list(events))
             for ip, race_type in outcome.tool.races.sites():
                 sites.setdefault(ip, str(race_type))
         assert sites == dict(serial.race_sites)
@@ -244,46 +39,39 @@ class TestBatchedAndPoolModes:
         trace = capture_workload(workload)
         events = list(next(iter(trace.runs()))[1])
 
-        from repro.engine.replay import replay
-
         serial_tool = IGuard()
         replay(events, tools=[serial_tool])
-        outcome = replay_trace_sharded(events, shards=4)
+        outcome = replay_trace_batched(events)
         serial_checked = sum(
             s.accesses_checked + s.accesses_coalesced
             for s in serial_tool.stats
         )
         assert outcome.events == serial_checked
 
-    def test_batched_single_shard_matches_too(self):
-        workload = get_workload("reduction")
-        trace = capture_workload(workload)
-        serial = replay_workload(trace, IGuard, workload.name)
-        sites = {}
-        for _seed, events in trace.runs():
-            outcome = replay_trace_sharded(list(events), shards=1)
-            for ip, race_type in outcome.tool.races.sites():
-                sites.setdefault(ip, str(race_type))
-        assert sites == dict(serial.race_sites)
-
-    @pytest.mark.parametrize("name", ["matrix-mult", "reduction"])
-    def test_pool_mode_sites_match_serial(self, name):
-        workload = get_workload(name)
-        trace = capture_workload(workload)
-        serial = replay_workload(trace, IGuard, workload.name)
-        # Inline mode runs the replicas in-process: same merge machinery
-        # as the pool, no worker processes to slow the suite down.
-        out = replay_workload_sharded(trace, shards=4, mode="inline")
-        assert out["status"] == serial.status
-        assert out["sites"] == dict(serial.race_sites)
-
     def test_batched_tool_is_an_iguard(self):
-        tool = BatchShardedIGuard(DEFAULT_CONFIG, shards=4)
+        tool = BatchedIGuard(DEFAULT_CONFIG)
         assert isinstance(tool, IGuard)
-        assert len(tool.cores) == 4
+        assert tool.shard_routed_total == [0]
 
-    def test_unknown_pool_mode_rejected(self):
-        workload = get_workload("matrix-mult")
-        trace = capture_workload(workload)
-        with pytest.raises(ValueError):
-            replay_workload_sharded(trace, shards=2, mode="threads")
+
+class TestRecordOrder:
+    def test_drain_records_equal_serial_on_racy_basket(self, tmp_path):
+        # One queue drained in stream order: every dynamic record, in
+        # order, exactly as the serial bus reports it.
+        total = 0
+        for workload in racy_workloads():
+            trace = capture_workload(workload, seeds=workload.seeds[:1])
+            events = list(trace)
+            serial = IGuard()
+            replay(events, tools=[serial])
+            expected = serial.races.records()
+
+            batched = replay_trace_batched(events).tool
+            assert batched.races.records() == expected, workload.name
+
+            path = tmp_path / f"{workload.name}.ctr"
+            save_columnar(events, path, chunk_rows=256)
+            columnar = replay_columnar_sharded(str(path)).tool
+            assert columnar.races.records() == expected, workload.name
+            total += len(expected)
+        assert total > 0

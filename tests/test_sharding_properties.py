@@ -1,20 +1,25 @@
-"""Property-based sharding equivalence over generated programs.
+"""Property-based drain equivalence over generated programs.
 
-The sharded engine's contract, stated adversarially: for *randomly
+The batched drains' contract, stated adversarially: for *randomly
 generated* kernels — mixing race-free phases with deliberately racy
-ones — and arbitrary scheduler seeds, a detector split across any
-number of shards produces the identical race report the serial detector
-does: same records, same order, same sites, same per-type counts.
-Shard counts include a prime (7) so granule routing never lines up with
-warp width or array strides by accident.
+ones — and arbitrary scheduler seeds, iGUARD's report is the same
+whichever path drives it: the serial event bus, :class:`BatchedIGuard`
+(checks queued on the bus and drained at sync mutations), or the
+columnar chunk drain.  Same records, same order, same sites, same
+per-type counts.
 """
 
+import os
+import tempfile
 from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines import FastTrack
 from repro.core import IGuard
+from repro.core.sharding import BatchedIGuard, replay_columnar_sharded
+from repro.engine.coltrace import save_columnar
+from repro.engine.replay import replay
+from repro.engine.trace import TraceSink
 from repro.gpu.instructions import (
     atomic_add,
     atomic_load,
@@ -34,7 +39,6 @@ _PHASE = st.sampled_from(
      "block_exchange", "shared_store", "neighbor_write", "compute"]
 )
 _PROGRAM = st.lists(_PHASE, min_size=1, max_size=5)
-_SHARDS = st.sampled_from([1, 2, 4, 7])
 
 
 def _build_kernel(phases):
@@ -82,16 +86,18 @@ def _build_kernel(phases):
     return kern
 
 
-def _run(phases, seed, factory):
+def _run(phases, seed):
+    """Run the program live under serial iGUARD, recording its stream."""
     dev = fresh_device()
-    det = dev.add_tool(factory())
+    det = dev.add_tool(IGuard())
+    sink = dev.add_sink(TraceSink())
     private = dev.alloc("private", 16, init=0)
     shared = dev.alloc("shared", 1, init=5)
     counter = dev.alloc("counter", 1, init=0)
     exchange = dev.alloc("exchange", 16, init=0)
     dev.launch(_build_kernel(phases), 2, 8,
                args=(private, shared, counter, exchange), seed=seed)
-    return det
+    return det, list(sink.trace)
 
 
 def _report(det):
@@ -103,21 +109,19 @@ def _report(det):
     )
 
 
-class TestShardedEqualsSerial:
-    @given(phases=_PROGRAM, seed=st.integers(0, 10_000), shards=_SHARDS)
+class TestDrainsEqualSerial:
+    @given(phases=_PROGRAM, seed=st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
-    def test_iguard_report_invariant_under_sharding(
-        self, phases, seed, shards
-    ):
-        serial = _run(phases, seed, IGuard)
-        sharded = _run(phases, seed, lambda: IGuard(shards=shards))
-        assert _report(sharded) == _report(serial), (phases, seed, shards)
+    def test_iguard_drains_equal_serial_bus(self, phases, seed):
+        serial, events = _run(phases, seed)
+        expected = _report(serial)
 
-    @given(phases=_PROGRAM, seed=st.integers(0, 10_000), shards=_SHARDS)
-    @settings(max_examples=15, deadline=None)
-    def test_fasttrack_report_invariant_under_sharding(
-        self, phases, seed, shards
-    ):
-        serial = _run(phases, seed, FastTrack)
-        sharded = _run(phases, seed, lambda: FastTrack(shards=shards))
-        assert _report(sharded) == _report(serial), (phases, seed, shards)
+        batched = BatchedIGuard()
+        replay(events, tools=[batched])
+        assert _report(batched) == expected, (phases, seed)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "program.ctr")
+            save_columnar(events, path, chunk_rows=64)
+            columnar = replay_columnar_sharded(path).tool
+        assert _report(columnar) == expected, (phases, seed)

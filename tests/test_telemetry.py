@@ -238,9 +238,6 @@ def _fixture_registry():
     reg.counter("detector.races").inc(3)
     reg.counter("parallel.worker.101.cells").inc(4)
     reg.counter("parallel.worker.202.cells").inc(2)
-    reg.counter("shard.0.events").inc(1200)
-    reg.counter("shard.1.events").inc(800)
-    reg.gauge("shard.imbalance").set(1.5)
     h = reg.histogram("detector.check_seconds")
     for v in (0.25, 0.5, 1.0, 4.0):
         h.observe(v)
@@ -259,8 +256,8 @@ class TestExposition:
         assert family_of("parallel.worker.4242.cells") == (
             "iguard_parallel_worker_cells", {"pid": "4242"}
         )
-        assert family_of("shard.3.drain_depth") == (
-            "iguard_shard_drain_depth", {"shard": "3"}
+        assert family_of("shard.backpressure_drains") == (
+            "iguard_shard_backpressure_drains", {}
         )
         assert family_of("detector.races") == ("iguard_detector_races", {})
 
@@ -313,13 +310,13 @@ class TestExposition:
         assert bucket_counts[-1] == 3  # the +Inf bucket sees everything
 
     def test_type_collision_is_an_error(self):
-        # A per-shard gauge must not fold into an existing unlabeled
-        # family of a different type (the shard.queue_depth hazard).
+        # A per-worker gauge must not fold into an existing unlabeled
+        # family of a different type.
         snap = {
-            "shard.queue_depth": {"type": "histogram", "count": 0,
-                                  "sum": 0.0, "min": None, "max": None,
-                                  "buckets": {}},
-            "shard.0.queue_depth": {"type": "gauge", "value": 1.0},
+            "parallel.worker.cells": {"type": "histogram", "count": 0,
+                                      "sum": 0.0, "min": None, "max": None,
+                                      "buckets": {}},
+            "parallel.worker.7.cells": {"type": "gauge", "value": 1.0},
         }
         with pytest.raises(ValueError, match="family"):
             snapshot_to_families(snap)
@@ -420,18 +417,6 @@ class TestWatchdog:
         assert wd.observe(_sample(), hb, {}) == []
         assert wd.status == "ok"
 
-    def test_shard_imbalance_gated_on_min_events(self):
-        wd = Watchdog(WatchdogConfig(imbalance_ratio=2.0,
-                                     imbalance_min_events=1000))
-        totals = {
-            "shard.events_routed": {"type": "counter", "value": 10},
-            "shard.imbalance": {"type": "gauge", "value": 9.0},
-        }
-        assert wd.observe(_sample(), [], totals) == []  # too few events
-        totals["shard.events_routed"]["value"] = 5000
-        (finding,) = wd.observe(_sample(), [], totals)
-        assert finding.rule == "shard_imbalance"
-
     def test_retry_burn_scales_to_per_minute(self):
         wd = Watchdog(WatchdogConfig(retries_per_min=6.0))
         # 1 retry in a 1s window = 60/min: burning.
@@ -449,7 +434,7 @@ class TestWatchdog:
         cfg = WatchdogConfig.from_env("stall_s=2.5,retries_per_min=0.9")
         assert cfg.stall_s == 2.5
         assert cfg.retries_per_min == 0.9
-        assert cfg.imbalance_ratio == WatchdogConfig().imbalance_ratio
+        assert cfg.quarantine_events == WatchdogConfig().quarantine_events
 
     def test_health_block_shape(self):
         wd = Watchdog(WatchdogConfig(stall_s=1.0))
@@ -504,7 +489,7 @@ class TestTelemetryByteIdentity:
 
         on, off = tmp_path / "on.json", tmp_path / "off.json"
         rc_on = main([
-            "--workload", "reduction", "--seeds", "1,2", "--shards", "2",
+            "--workload", "reduction", "--seeds", "1,2",
             "--report-json", str(on),
             "--telemetry-out", str(tmp_path / "t.jsonl"),
             "--telemetry-interval", "0.05",
@@ -512,7 +497,7 @@ class TestTelemetryByteIdentity:
         obs_metrics.set_enabled(False)
         obs_metrics.get_registry().reset()
         rc_off = main([
-            "--workload", "reduction", "--seeds", "1,2", "--shards", "2",
+            "--workload", "reduction", "--seeds", "1,2",
             "--report-json", str(off),
         ])
         assert rc_on == rc_off
