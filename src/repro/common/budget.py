@@ -1,11 +1,13 @@
 """Resource budgets for adversarial inputs (``IGUARD_MEM_BUDGET`` et al).
 
 A fuzzed or hostile input must never be able to OOM the process: every
-unbounded structure the event stream can grow — metadata tables, the
-columnar string pool, the batched drain's queue — is capped by an
-operator-set budget, degrading exactly like
-``IGuardConfig.metadata_max_entries`` does (bounded recall loss, never a
-false positive, never an abort).
+unbounded structure the event stream can grow — metadata tables and the
+columnar string pool — is capped by an operator-set budget, degrading
+exactly like ``IGuardConfig.metadata_max_entries`` does (bounded recall
+loss, never a false positive, never an abort).  iGUARD's check queue
+needs no budget: it never outlives one pending batch
+(:data:`repro.core.detector.PENDING_RECORDS` records) or one decoded
+columnar chunk, which the block limits below bound.
 
 Environment knobs (all read per call so tests can monkeypatch):
 
@@ -14,11 +16,6 @@ Environment knobs (all read per call so tests can monkeypatch):
     writer's string-pool memo.  Accepts a plain byte count or a
     ``k``/``m``/``g`` suffix (``64m``).  Unset or ``0`` = unbounded
     (the historical behavior).
-``IGUARD_QUEUE_CAP``
-    Maximum checks the batched drain may hold queued before forcing an
-    early drain (backpressure: the producer does the work).  Early
-    drains are output-identical — checks between two sync mutations are
-    order-equivalent.
 ``IGUARD_QUARANTINE``
     Maximum poison events absorbed per process before quarantine gives
     up and lets the exception abort the run (see
@@ -31,14 +28,7 @@ import os
 from typing import Optional
 
 MEM_BUDGET_VAR = "IGUARD_MEM_BUDGET"
-QUEUE_CAP_VAR = "IGUARD_QUEUE_CAP"
 QUARANTINE_VAR = "IGUARD_QUARANTINE"
-
-#: Default cap on queued checks in the batched drain.  Far
-#: above what any pinned workload queues between sync points, so the
-#: default changes nothing observable — it only bounds adversarial
-#: single-launch streams with no sync mutations at all.
-DEFAULT_QUEUE_CAP = 1 << 16
 
 #: Poison events absorbed before quarantine re-raises (fail loud once a
 #: stream is *systematically* poisoned rather than carrying one bad
@@ -80,18 +70,6 @@ def mem_budget() -> Optional[int]:
     except ValueError:
         return None
     return value or None
-
-
-def queue_cap() -> int:
-    """Pending-check cap for the batched drain."""
-    spec = os.environ.get(QUEUE_CAP_VAR, "").strip()
-    if not spec:
-        return DEFAULT_QUEUE_CAP
-    try:
-        value = int(spec)
-    except ValueError:
-        return DEFAULT_QUEUE_CAP
-    return value if value > 0 else DEFAULT_QUEUE_CAP
 
 
 def quarantine_limit() -> int:

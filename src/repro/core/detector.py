@@ -13,10 +13,21 @@ state machine itself lives in :class:`repro.core.engine.IGuardCore`, and
 ``IGuard`` keeps only what is *not* detection state — cycle charging, UVM
 residency, metadata-lock contention, coalescing, per-launch statistics,
 and the Tool lifecycle.  The adapter drives exactly one core, which owns
-the synchronization state as well as the metadata.  The batched replay
-drains in :mod:`repro.core.sharding` reuse this adapter and its core,
-queueing checks between synchronization mutations instead of running
-each one on arrival.
+the synchronization state as well as the metadata.
+
+The front end is one loop, :meth:`IGuard.feed`, whichever way the events
+arrive.  Live runs and bus replays append each record to a pending list
+(``on_memory``/``on_sync``) and feed it every :data:`PENDING_RECORDS`
+records and at launch end; columnar replays
+(:func:`repro.core.sharding.replay_columnar_sharded`) feed each decoded
+chunk with its vectorized granules.  Inside one ``feed`` call the checks
+queue up and run as one :meth:`~repro.core.engine.DetectorCore.drain_batch`
+at the next synchronization mutation (barrier, fence, CAS/EXCH lock
+inference, launch boundary) and at the end of the call.  Between two such
+mutations each check depends only on its own granule's metadata plus the
+frozen synchronization state, so this is order-equivalent to checking
+every access on arrival: race records reach the log in stream order, and
+the queue never outlives one pending batch or one chunk.
 
 Performance features from the paper, all modeled:
 
@@ -33,7 +44,7 @@ pruning of its own.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 # Re-exported for compatibility: these historically lived here and are
 # imported by the baselines and experiment harnesses.
@@ -42,13 +53,62 @@ from repro.core.config import DEFAULT_CONFIG, IGuardConfig
 from repro.core.contention import ContentionModel, ContentionParams
 from repro.core.uvm import ManagedMetadataSpace, UVMParams
 from repro.common.budget import mem_budget
-from repro.gpu.events import AccessKind, MemoryEvent, SyncEvent
+from repro.engine.replay import kernel_run, launch_info
+from repro.faults.quarantine import poison as _poison
+from repro.gpu.events import (
+    AccessKind,
+    AllocEvent,
+    KernelEndEvent,
+    LaunchEvent,
+    MemoryEvent,
+    SyncEvent,
+)
 from repro.gpu.instructions import AtomicOp
 from repro.instrument.nvbit import LaunchInfo, Tool
 from repro.instrument.timing import Category
 from repro.obs.metrics import HOT
 
-__all__ = ["DetectorCosts", "LaunchStats", "IGuard"]
+__all__ = ["DetectorCosts", "LaunchStats", "IGuard", "PENDING_RECORDS"]
+
+#: Memory and sync records ``on_memory``/``on_sync`` hold before running
+#: them through :meth:`IGuard.feed` in one call: enough to pay the loop's
+#: set-up once per thousand records, few enough that the list never shows
+#: in peak memory.
+PENDING_RECORDS = 1024
+
+
+class _Front:
+    """One launch's front-end state, kept on the detector between feeds.
+
+    ``launch`` is None outside a launch; a memory record arriving then
+    finds no contention model to call and is quarantined as poison.
+    """
+
+    __slots__ = (
+        "launch", "stats", "uvm", "contention", "co_batch", "co_granule",
+        "checked", "coalesced", "syncs", "faults", "stalls", "stall_cycles",
+        "serial_cycles",
+    )
+
+    def __init__(self, launch=None, stats=None, uvm=None, contention=None):
+        self.launch = launch
+        self.stats = stats
+        #: The launch's managed metadata space; with ``use_uvm`` each
+        #: check walks its residency.
+        self.uvm = uvm
+        self.contention = contention
+        #: Coalescing key ``(batch, granule)`` of the last load/atomic.
+        self.co_batch = self.co_granule = None
+        self.clear_counts()
+
+    def clear_counts(self) -> None:
+        """Zero the per-event tallies :meth:`IGuard._close` folds."""
+        self.checked = self.coalesced = self.syncs = 0
+        self.faults = self.stalls = 0
+        self.stall_cycles = 0.0
+        #: UVM fault and contention stall cycles, one running sum in
+        #: event order: the serial DETECTION account.
+        self.serial_cycles = 0.0
 
 
 class IGuard(Tool):
@@ -86,7 +146,6 @@ class IGuard(Tool):
         self.device = None
         self.core = IGuardCore(config, self.costs)
         self.core.report_sink = self._report_sink
-        self.races = self.core.races
         # IGUARD_MEM_BUDGET: bound metadata growth by FIFO-evicting the
         # table.  Same degradation contract as metadata_max_entries —
         # bounded recall loss, never a false positive — but set by the
@@ -96,12 +155,9 @@ class IGuard(Tool):
             self.core.table.max_entries = max(
                 1, budget // config.metadata_entry_bytes
             )
-        self.stats: List[LaunchStats] = []
-        self._launch: Optional[LaunchInfo] = None
-        self._contention: Optional[ContentionModel] = None
-        self._uvm: Optional[ManagedMetadataSpace] = None
-        self._current: Optional[LaunchStats] = None
-        self._coalesce_key: Optional[Tuple[int, int]] = None
+        self._stats: List[LaunchStats] = []
+        self._pending: list = []
+        self._front = _Front()
         #: Always ``[0]``: kept because the benchmark under
         #: ``benchmarks/`` reads it.
         self.shard_routed_total: List[int] = [0]
@@ -109,6 +165,18 @@ class IGuard(Tool):
     # ------------------------------------------------------------------
     # Delegation: the detection state lives on the core
     # ------------------------------------------------------------------
+
+    @property
+    def races(self):
+        """The core's race log, with every pending record checked."""
+        self._settle()
+        return self.core.races
+
+    @property
+    def stats(self) -> List[LaunchStats]:
+        """Per-launch statistics, with every pending record counted."""
+        self._settle()
+        return self._stats
 
     @property
     def table(self):
@@ -126,9 +194,10 @@ class IGuard(Tool):
 
     def _report_sink(self, record) -> bool:
         """Report into the race log, counting new sites per launch."""
-        if self.races.report(record):
-            if self._current is not None:
-                self._current.races_reported += 1
+        if self.core.races.report(record):
+            stats = self._front.stats
+            if stats is not None:
+                stats.races_reported += 1
             return True
         return False
 
@@ -140,10 +209,11 @@ class IGuard(Tool):
         self.device = device
 
     def on_launch_begin(self, launch: LaunchInfo) -> None:
-        self._launch = launch
-        self._coalesce_key = None
-        self._current = LaunchStats(kernel=launch.kernel_name)
-        self.stats.append(self._current)
+        # A launch the stream truncated (a deadlocked kernel) never
+        # ended: check and count what it left first, as it ran.
+        self._settle()
+        stats = LaunchStats(kernel=launch.kernel_name)
+        self._stats.append(stats)
         # The core starts the kernel with fresh synchronization metadata
         # (and, by default, fresh memory metadata).
         self.core.begin_launch(launch)
@@ -161,16 +231,16 @@ class IGuard(Tool):
         memory = launch.device.memory
         app_bytes = memory.bytes_allocated
         metadata_needed = app_bytes * 4  # 16 bytes per 4-byte granule
-        self._uvm = ManagedMetadataSpace(
+        uvm = ManagedMetadataSpace(
             metadata_virtual_bytes=metadata_needed,
             device_free_bytes=max(0, memory.capacity_bytes - app_bytes),
             prefault=self.config.prefault and self.config.use_uvm,
             params=self.uvm_params,
         )
-        self._current.uvm_prefaulted_pages = self._uvm.prefaulted_pages
+        stats.uvm_prefaulted_pages = uvm.prefaulted_pages
         launch.timing.charge(
             Category.SETUP,
-            self.costs.setup_fixed + self._uvm.setup_cycles,
+            self.costs.setup_fixed + uvm.setup_cycles,
             serial=True,
         )
         launch.timing.charge(Category.MISC, self.costs.misc_fixed, serial=True)
@@ -183,12 +253,13 @@ class IGuard(Tool):
                 launch.device.config.max_concurrent_lanes // launch.warp_size,
             ),
         )
-        self._contention = ContentionModel(
+        contention = ContentionModel(
             num_threads=launch.num_threads,
             concurrent_warps=concurrent_warps,
             dynamic_backoff=self.config.dynamic_backoff,
             params=self.contention_params,
         )
+        self._front = _Front(launch, stats, uvm, contention)
 
     def on_launch_end(self, launch: LaunchInfo) -> None:
         self._finish(launch)
@@ -199,6 +270,8 @@ class IGuard(Tool):
         self._finish(launch)
 
     def _finish(self, launch: LaunchInfo) -> None:
+        self._settle()
+        front = self._front
         self.core.finish_launch(launch)
         # Duration-proportional host-side shares (see DetectorCosts).
         native = launch.timing.native_time
@@ -211,110 +284,238 @@ class IGuard(Tool):
         launch.timing.charge(
             Category.MISC, self.costs.misc_fraction * native, serial=True
         )
-        if self._current is not None:
-            self._current.contention_cycles = (
-                self._contention.serialized_cycles if self._contention else 0.0
-            )
-            self._current.uvm_faults = self._uvm.faults if self._uvm else 0
-            self._current.metadata_entries = len(self.core.table)
+        if front.stats is not None:
+            front.stats.contention_cycles = front.contention.serialized_cycles
+            front.stats.uvm_faults = front.uvm.faults
+            front.stats.metadata_entries = len(self.core.table)
+        self._front = _Front()
 
     # ------------------------------------------------------------------
-    # Synchronization operations
-    # ------------------------------------------------------------------
-
-    def on_sync(self, event: SyncEvent, launch: LaunchInfo) -> None:
-        launch.timing.charge(
-            Category.INSTRUMENTATION, self.costs.instrument_per_event
-        )
-        launch.timing.charge(Category.DETECTION, self.costs.sync_per_event)
-        self._sync_barrier()
-        self.core.apply_sync(event, launch)
-
-    # ------------------------------------------------------------------
-    # Memory operations
+    # Memory and synchronization operations
     # ------------------------------------------------------------------
 
     def on_memory(self, event: MemoryEvent, launch: LaunchInfo) -> None:
-        launch.timing.charge(
-            Category.INSTRUMENTATION, self.costs.instrument_per_event
-        )
+        """Hold the record for the front-end loop (see :meth:`feed`)."""
+        pending = self._pending
+        pending.append(event)
+        if len(pending) >= PENDING_RECORDS:
+            self._feed_pending()
 
-        # Lock inference precedes race checking (Figure 6's orange boxes).
-        # CAS/EXCH mutate the lock tables, so a batched driver must drain
-        # its queued checks first.
-        if event.kind is AccessKind.ATOMIC:
-            if event.atomic_op in (AtomicOp.CAS, AtomicOp.EXCH):
-                self._sync_barrier()
-            self.core.infer_locks(event)
+    on_sync = on_memory
 
-        # Opportunistic coalescing: active threads of one warp loading (or
-        # atomically updating) the same location cannot race with each
-        # other, so a single representative performs the metadata access
-        # on behalf of the converged group (section 6.5).  The key is the
-        # granule index: the real implementation's warp match runs on the
-        # *metadata* address, so converged lanes touching different bytes
-        # of one granule coalesce into a single check of that granule's
-        # entry.
-        granule = self.core.table.granule_of(event.address)
-        if self.config.coalescing and event.kind in (
-            AccessKind.LOAD,
-            AccessKind.ATOMIC,
-        ):
-            key = (event.batch, granule)
-            if key == self._coalesce_key:
-                self._current.accesses_coalesced += 1
-                if HOT.enabled:
-                    HOT.detector_coalesced.inc()
-                launch.timing.charge(
-                    Category.DETECTION, self.costs.coalesced_skip
-                )
+    def _feed_pending(self) -> None:
+        pending, self._pending = self._pending, []
+        self.feed(pending)
+
+    def _settle(self) -> None:
+        """Feed the pending records, then fold the open launch's tallies."""
+        if self._pending:
+            self._feed_pending()
+        self._close()
+
+    def _close(self) -> None:
+        """Fold the open launch's per-event tallies into stats and timing.
+
+        The fixed per-event costs are charged in bulk: every shipped cost
+        model uses integers or halves, whose multiples and sums are exact,
+        so a bulk product equals the per-event running sum bit for bit.
+        UVM faults and contention stalls vary per event and arrive as one
+        running sum in event order.  Called at launch end, before the
+        next launch, and whenever the report is read.
+        """
+        front = self._front
+        launch = front.launch
+        if launch is None:
+            return
+        costs = self.costs
+        timing = launch.timing
+        checked, coalesced, syncs = front.checked, front.coalesced, front.syncs
+        if checked or coalesced or syncs:
+            timing.charge(
+                Category.INSTRUMENTATION,
+                costs.instrument_per_event * (checked + coalesced + syncs),
+            )
+        if checked:
+            timing.charge(Category.DETECTION, costs.check_per_access * checked)
+        if coalesced:
+            timing.charge(Category.DETECTION, costs.coalesced_skip * coalesced)
+            front.stats.accesses_coalesced += coalesced
+        if syncs:
+            timing.charge(Category.DETECTION, costs.sync_per_event * syncs)
+        if front.serial_cycles:
+            timing.charge(Category.DETECTION, front.serial_cycles, serial=True)
+        if HOT.enabled:
+            if coalesced:
+                HOT.detector_coalesced.inc(coalesced)
+            if front.faults:
+                HOT.detector_uvm_faults.inc(front.faults)
+            if front.stalls:
+                HOT.contention_stalls.inc(front.stalls)
+                HOT.contention_cycles.inc(front.stall_cycles)
+        front.clear_counts()
+
+    def _drain(self, queue: list) -> None:
+        """Run the queued checks, in order, before a sync-state mutation."""
+        if queue:
+            front = self._front
+            self.core.drain_batch(queue, front.launch, front.stats)
+            queue.clear()
+
+    def feed(self, events, granules=None) -> None:
+        """Run the front end over one slice of the event stream, in order.
+
+        ``events`` is any iterable of stream records: the pending list
+        of a live run, or a replayed chunk whose launch boundaries,
+        allocations and native cycles arrive as records too (GPU config
+        headers and run markers carry no detector work).  ``granules``
+        optionally supplies the precomputed granule of each memory record
+        in order (a columnar chunk shifts its whole address column at
+        once).
+
+        Per record, in stream order: lock inference for atomics (a
+        CAS/EXCH first drains the queue, since it mutates the lock
+        tables), coalescing, the UVM residency walk, the contention
+        model, then the check joins the queue.  Per-launch state lives on
+        the detector, so a launch may span any number of calls; the
+        queue does not — every call ends with it drained.  A record that
+        raises is quarantined (:mod:`repro.faults.quarantine`) and the
+        loop goes on.
+        """
+        core = self.core
+        config = self.config
+        queue: list = []
+        enqueue = queue.append
+        drain = self._drain
+        infer_locks = core.infer_locks
+        apply_sync = core.apply_sync
+        granule_of = core.table.granule_of
+        entry_bytes = config.metadata_entry_bytes
+        coalescing = config.coalescing
+        use_uvm = config.use_uvm
+        # Loop-invariant bindings: every global the per-record hot path
+        # touches is a local.
+        mem_cls, sync_cls = MemoryEvent, SyncEvent
+        atomic_kind, load_kind = AccessKind.ATOMIC, AccessKind.LOAD
+        cas_op, exch_op = AtomicOp.CAS, AtomicOp.EXCH
+        granule_next = granules.__next__ if granules is not None else None
+
+        records = iter(events)
+        while True:
+            # The open launch's state in from the detector.
+            front = self._front
+            launch = front.launch
+            uvm_access = (
+                front.uvm.access if use_uvm and front.uvm is not None else None
+            )
+            contention_access = (
+                front.contention.on_metadata_access
+                if front.contention is not None
+                else None
+            )
+            co_batch, co_granule = front.co_batch, front.co_granule
+            checked, coalesced, syncs = (
+                front.checked, front.coalesced, front.syncs
+            )
+            faults, stalls = front.faults, front.stalls
+            stall_cycles, serial_cycles = (
+                front.stall_cycles, front.serial_cycles
+            )
+            boundary = None
+            for event in records:
+              kind = type(event)
+              try:
+                if kind is mem_cls:
+                    # The precomputed granule is consumed first: a poison
+                    # record raising below must not desynchronize the
+                    # granule iterator from the remaining memory records.
+                    if granule_next is not None:
+                        granule = granule_next()
+                    else:
+                        granule = granule_of(event.address)
+                    access = event.kind
+                    # Lock inference precedes race checking (Figure 6's
+                    # orange boxes).
+                    if access is atomic_kind:
+                        if event.atomic_op is cas_op or event.atomic_op is exch_op:
+                            drain(queue)
+                        infer_locks(event)
+                    # Opportunistic coalescing (section 6.5): active
+                    # threads of one warp loading (or atomically
+                    # updating) the same location cannot race with each
+                    # other, so one representative checks for the group.
+                    # The key is the granule: the real warp match runs on
+                    # the *metadata* address.
+                    if coalescing and (access is load_kind or access is atomic_kind):
+                        batch = event.batch
+                        if batch == co_batch and granule == co_granule:
+                            coalesced += 1
+                            continue
+                        co_batch, co_granule = batch, granule
+                    else:
+                        co_batch = None
+                    # Metadata residency (UVM) and entry-lock contention,
+                    # both serial.
+                    if uvm_access is not None:
+                        fault = uvm_access(granule * entry_bytes)
+                        if fault:
+                            serial_cycles += fault
+                            faults += 1
+                    stall = contention_access(
+                        granule, event.batch, event.where.warp_id
+                    )
+                    if stall:
+                        serial_cycles += stall
+                        stall_cycles += stall
+                        stalls += 1
+                    checked += 1
+                    enqueue((event, granule))
+                elif kind is sync_cls:
+                    drain(queue)
+                    apply_sync(event, launch)
+                    syncs += 1
+                else:
+                    boundary = event
+                    break
+              except Exception as exc:
+                _poison(event, exc, "drain")
+            drain(queue)
+            # ... and back out.
+            front.co_batch, front.co_granule = co_batch, co_granule
+            front.checked, front.coalesced, front.syncs = (
+                checked, coalesced, syncs
+            )
+            front.faults, front.stalls = faults, stalls
+            front.stall_cycles, front.serial_cycles = (
+                stall_cycles, serial_cycles
+            )
+            if boundary is None:
                 return
-            self._coalesce_key = key
-        else:
-            self._coalesce_key = None
+            try:
+                self._replay_boundary(boundary)
+            except Exception as exc:
+                _poison(boundary, exc, "drain")
 
-        # Metadata residency (UVM) and entry-lock contention, both serial.
-        if self.config.use_uvm and self._uvm is not None:
-            fault_cost = self._uvm.access(
-                granule * self.config.metadata_entry_bytes
+    def _replay_boundary(self, event) -> None:
+        """A replayed record that is neither a memory nor a sync access."""
+        kind = type(event)
+        device = self.device
+        if kind is LaunchEvent:
+            self.on_launch_begin(launch_info(event, device))
+        elif kind is KernelEndEvent:
+            launch = self._front.launch
+            # The native account first: the end-of-launch host charges
+            # are fractions of native time.
+            launch.timing.charge(Category.NATIVE, event.native_parallel)
+            launch.timing.charge(
+                Category.NATIVE, event.native_serial, serial=True
             )
-            if fault_cost:
-                if HOT.enabled:
-                    HOT.detector_uvm_faults.inc()
-                launch.timing.charge(
-                    Category.DETECTION, fault_cost, serial=True
-                )
-        if self._contention is not None:
-            stall = self._contention.on_metadata_access(
-                granule, event.batch, event.where.warp_id
-            )
-            if stall:
-                if HOT.enabled:
-                    HOT.contention_stalls.inc()
-                    HOT.contention_cycles.inc(stall)
-                launch.timing.charge(Category.DETECTION, stall, serial=True)
-        launch.timing.charge(Category.DETECTION, self.costs.check_per_access)
-        self._dispatch(event, granule, launch)
-
-    def _dispatch(
-        self, event: MemoryEvent, granule: int, launch: LaunchInfo
-    ) -> None:
-        """Run the check now.  The batched driver overrides to queue.
-
-        Dispatching through :meth:`DetectorCore.handle` quarantines a
-        poison event (one whose check raises) instead of aborting — the
-        same absorption the batched drains apply, so all modes stay
-        byte-identical on every non-quarantined record.
-        """
-        self.core.handle(event, granule, launch, self._current)
-
-    def _sync_barrier(self) -> None:
-        """Drain queued checks before a sync-state mutation.
-
-        This adapter checks every event on arrival, so there is nothing
-        to drain; :class:`repro.core.sharding.BatchedIGuard` overrides
-        this to drain its queue.
-        """
+            if event.timed_out:
+                self.on_timeout(launch)
+            else:
+                self.on_launch_end(launch)
+            device.runs.append(kernel_run(event, launch))
+        elif kind is AllocEvent:
+            device.memory.restore(event)
 
     # ------------------------------------------------------------------
     # Reporting helpers

@@ -15,7 +15,8 @@ report plumbing.  This module decouples the two layers:
   exactly one core from the instrumentation callbacks.
 - the shared plumbing every backend needs — launch lifecycle, the race
   log, report emission, and the batched ``check_run``/``drain_batch``
-  entry points the replay drains (:mod:`repro.core.sharding`) call —
+  entry points iGUARD's front-end loop (:meth:`IGuard.feed
+  <repro.core.detector.IGuard.feed>`) calls —
   lives once in the :class:`DetectorCore` base.
 
 Two core families are provided:
@@ -122,7 +123,7 @@ class DetectorCore:
     """Base class of the pure check engines.
 
     Owns the plumbing every backend shares — the race log, the launch
-    lifecycle, report emission, and the batched drain entry points.
+    lifecycle, report emission, and the batched check entry points.
     Subclasses implement the check logic in :meth:`check_memory` and the
     synchronization side in :meth:`apply_sync`; each core owns its own
     synchronization state and resets it at every launch.
@@ -159,12 +160,11 @@ class DetectorCore:
     def handle(self, event, key, launch, stats=None) -> None:
         """:meth:`check_memory` with poison-event quarantine around it.
 
-        The adapters dispatch through this so one raising event is
-        absorbed (:mod:`repro.faults.quarantine`) instead of aborting the
-        run; the batched drains get the same semantics from
-        :meth:`check_run`'s resume path, so a poison event quarantines
-        identically — same counter, same skipped check — in serial,
-        batched, and columnar replays.
+        The per-event adapters dispatch through this so one raising
+        event is absorbed (:mod:`repro.faults.quarantine`) instead of
+        aborting the run; iGUARD's batched front end gets the same
+        semantics from :meth:`check_run`'s resume path — same counter,
+        same skipped check.
         """
         try:
             self.check_memory(event, key, launch, stats)
@@ -198,11 +198,10 @@ class DetectorCore:
                 return
 
     def drain_batch(self, run, launch, stats=None) -> None:
-        """Batched drain entry point for the queued replay drivers.
+        """Batched entry point for a queue of checks.
 
-        One call per queued run: the adapter-level per-event dispatch
-        (Tool callback, bus publish, cost charging) is paid once per
-        batch and the backend's tightest ``check_run`` loop does the
+        One call per queued run: the adapter-level dispatch is paid once
+        per batch and the backend's tightest ``check_run`` loop does the
         rest.  It guards the empty case and delegates.
         """
         if run:

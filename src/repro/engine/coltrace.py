@@ -5,7 +5,7 @@ The JSONL codec (:mod:`repro.engine.trace`) spends its replay budget in
 event.  This module stores the same typed stream as *columns*: one numpy
 array per event field, grouped by event type, so loading a chunk costs
 O(fields) numpy reads instead of O(events) JSON parses, and batch
-consumers (the batched replay drain) can compute over
+consumers (iGUARD's columnar replay) can compute over
 whole columns vectorized before any per-event Python object exists.
 
 File layout (``.ctr``; ``.ctr.gz`` is the same stream gzipped)::

@@ -9,11 +9,9 @@ extension):
 - ``convert`` — translate a trace between formats, either direction;
 - ``info`` — summarize a trace file (format, events by type, runs);
 - ``replay`` — run a detector over a trace file and print (or write as
-  canonical JSON) the merged workload report.  ``--batched`` replays
-  iGUARD with its checks queued and drained at synchronization
-  boundaries instead of run per event; reports are byte-identical either
-  way, and byte-identical across the two container formats, which is
-  what CI's convert-replay-compare step enforces.
+  canonical JSON) the merged workload report.  Reports are
+  byte-identical across the two container formats, which is what CI's
+  convert-replay-compare step enforces.
 """
 
 from __future__ import annotations
@@ -84,15 +82,11 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _replay_factory(detector: str, batched: bool):
+def _replay_factory(detector: str):
     if detector == "fasttrack":
         from repro.baselines import FastTrack
 
         return FastTrack
-    if batched:
-        from repro.core.sharding import BatchedIGuard
-
-        return BatchedIGuard
     from repro.core.detector import IGuard
 
     return IGuard
@@ -103,7 +97,7 @@ def _cmd_replay(args) -> int:
     from repro.engine.trace import Trace
 
     trace = Trace.load(args.path)
-    factory = _replay_factory(args.detector, args.batched)
+    factory = _replay_factory(args.detector)
     result = replay_workload(trace, factory, args.workload_name)
     output(
         f"{result.workload} under {result.detector}: "
@@ -113,9 +107,9 @@ def _cmd_replay(args) -> int:
     for ip, race_type in result.race_sites:
         output(f"  [{race_type}] {ip}")
     if args.report_json:
-        # The runner's canonical report payload, verbatim: batched,
-        # serial, JSONL and columnar replays of the same trace all
-        # produce byte-identical files.
+        # The runner's canonical report payload, verbatim: JSONL and
+        # columnar replays of the same trace produce byte-identical
+        # files.
         payload = {
             "workload": result.workload,
             "detector": result.detector,
@@ -182,12 +176,6 @@ def main(argv=None) -> int:
     replay.add_argument("path", help="trace file to replay")
     replay.add_argument(
         "--detector", default="iguard", choices=["iguard", "fasttrack"],
-    )
-    replay.add_argument(
-        "--batched", action="store_true",
-        help="queue iGUARD's checks and drain them at synchronization "
-             "boundaries instead of checking per event (byte-identical "
-             "reports; FastTrack always checks per event)",
     )
     replay.add_argument(
         "--workload-name", default="replay", metavar="NAME",

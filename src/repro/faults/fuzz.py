@@ -6,13 +6,13 @@ Two generators, one oracle:
   the synchronization constructs the Table 2 checks R1–R5 key on —
   scoped atomics (R1), warp barriers under ITS (R2), block barriers
   (R3), fences (R4), and plain conflicting accesses.  Each program is
-  captured once and replayed through every iGUARD drive path the repo
-  claims is byte-identical — the serial bus, the batched drain and the
-  columnar drain — plus a serial FastTrack leg that must neither crash
-  nor hang.  Any crash, per-input wall-clock blowout, report divergence
-  between the iGUARD legs, or quarantine-snapshot divergence is a
-  failure.  A fifth leg is the **soundness gate** for the static
-  analyzer (:mod:`repro.analysis`):
+  captured once and replayed through both ways iGUARD's front-end loop
+  is fed — bus replay (records batched through the pending list) and
+  columnar replay (chunks with vectorized granules) — plus a serial
+  FastTrack leg that must neither crash nor hang.  Any crash, per-input
+  wall-clock blowout, report divergence between the iGUARD legs, or
+  quarantine-snapshot divergence is a failure.  A fourth leg is the
+  **soundness gate** for the static analyzer (:mod:`repro.analysis`):
   every race the serial iGUARD leg reports must fall inside the
   analyzer's may-race set — a dynamically caught race at a
   statically-proven-safe site would mean the analyzer is unsound, so it
@@ -236,10 +236,7 @@ def differential_check(statements: List[list]) -> Optional[Dict]:
     import tempfile
 
     from repro.core.detector import IGuard
-    from repro.core.sharding import (
-        replay_columnar_sharded,
-        replay_trace_batched,
-    )
+    from repro.core.sharding import replay_columnar_sharded
     from repro.baselines.fasttrack import FastTrack
     from repro.engine.coltrace import write_columnar
     from repro.engine.replay import capture_workload, replay
@@ -258,12 +255,7 @@ def differential_check(statements: List[list]) -> Optional[Dict]:
 
             return _run
 
-        legs = {
-            "iguard-serial": _leg(_replay_tool(IGuard)),
-            "iguard-batched": _leg(
-                lambda: replay_trace_batched(events).tool
-            ),
-        }
+        legs = {"iguard-serial": _leg(_replay_tool(IGuard))}
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "fuzz.ctr")
             with open(path, "wb") as handle:
@@ -274,7 +266,7 @@ def differential_check(statements: List[list]) -> Optional[Dict]:
         # Crash/hang leg: FastTrack flags atomic-atomic interleavings
         # iGUARD's Table 2 permits, so its report is not compared.
         legs["fasttrack-serial"] = _leg(_replay_tool(FastTrack))
-        # Soundness gate (fifth leg): lint the same program statically.
+        # Soundness gate (fourth leg): lint the same program statically.
         # Compared against the *iGUARD* leg only — FastTrack's
         # happens-before model flags atomic-atomic interleavings that
         # iGUARD's Table 2 (and hence the static mirror) correctly
@@ -296,16 +288,15 @@ def differential_check(statements: List[list]) -> Optional[Dict]:
             "detail": f"input took {elapsed:.1f}s (> {INPUT_BUDGET_S:.0f}s)",
         }
     reference = legs["iguard-serial"]
-    for name in ("iguard-batched", "iguard-columnar"):
-        if legs[name] != reference:
-            return {
-                "kind": "divergence",
-                "signature": f"divergence@{name}",
-                "detail": (
-                    f"{name} disagrees with iguard-serial: "
-                    f"{legs[name]} != {reference}"
-                )[:500],
-            }
+    if legs["iguard-columnar"] != reference:
+        return {
+            "kind": "divergence",
+            "signature": "divergence@iguard-columnar",
+            "detail": (
+                "iguard-columnar disagrees with iguard-serial: "
+                f"{legs['iguard-columnar']} != {reference}"
+            )[:500],
+        }
     for ip, race_type in reference["sites"].items():
         if not static_lint.allows_dynamic_site(ip):
             # The dynamic detector caught a race at a site the static

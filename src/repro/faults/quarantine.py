@@ -13,14 +13,14 @@ invent one.
 
 Wrap points (all per-event):
 
-- :func:`repro.engine.replay.replay` — the serial bus-publish loop;
-- :class:`repro.core.sharding._BatchedDrain` — the batched/columnar
-  inlined front-end loop;
+- :func:`repro.engine.replay.replay` — the bus-publish loop;
+- :meth:`repro.core.detector.IGuard.feed` — iGUARD's front-end loop,
+  which live runs, bus replays and columnar replays all feed;
 - :meth:`repro.core.engine.DetectorCore.handle` and the ``check_run``
-  drain loop — the check itself, shared by every mode, so a poison
-  event that survives the front-end quarantines *identically* in
-  serial, batched, and columnar replays (byte-identical reports on all
-  non-quarantined records).
+  drain loop — the check itself, shared by every backend, so a poison
+  event that survives the front end quarantines *identically* in bus
+  and columnar replays (byte-identical reports on all non-quarantined
+  records).
 
 Deliberate non-absorptions: every :class:`~repro.errors.ReproError`
 (Unsupported/OOM/Timeout/Deadlock are policy signals, corruption and
@@ -120,9 +120,8 @@ def snapshot() -> dict:
     """Deterministic, mode-agnostic summary for report blocks.
 
     Deliberately excludes the wrap-point stage: the same poison event
-    surfaces at the replay loop in serial mode and at the drain loop in
-    batched mode, and the report block must stay byte-identical across
-    modes.  Stages live in the bounded :func:`examples` forensics and
+    can surface at the replay loop or at the front-end loop, and the
+    report block must stay byte-identical across replay modes.  Stages live in the bounded :func:`examples` forensics and
     the logs.
     """
     return {

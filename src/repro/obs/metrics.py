@@ -277,7 +277,6 @@ class _HotMetrics:
         self.metadata_evictions = registry.counter("detector.metadata.evictions")
         # Poison-event quarantine and resource budgets (repro.faults.fuzz).
         self.quarantined_events = registry.counter("quarantine.events")
-        self.backpressure_drains = registry.counter("shard.backpressure_drains")
         self.pool_memo_evictions = registry.counter("trace.pool_memo_evictions")
         # Columnar trace container (repro.engine.coltrace).
         self.trace_chunks = registry.counter("trace.chunks_decoded")

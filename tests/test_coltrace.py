@@ -10,7 +10,7 @@ Three contracts:
   as the JSONL reader;
 - **replay equivalence** — replaying the columnar container produces
   canonical workload reports byte-identical to the JSONL replay, for
-  IGuard (serial and batched) and FastTrack.
+  IGuard (bus and chunk-fed) and FastTrack.
 """
 
 import gzip
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import FastTrack
 from repro.core import IGuard
-from repro.core.sharding import BatchedIGuard, replay_columnar_sharded
+from repro.core.sharding import replay_columnar_sharded
 from repro.engine import Trace, capture_workload, replay_workload
 from repro.engine.coltrace import (
     is_columnar_path,
@@ -207,7 +207,6 @@ def _canonical_report(result):
 
 _FACTORIES = {
     "iguard-serial": IGuard,
-    "iguard-batched": BatchedIGuard,
     "fasttrack-serial": FastTrack,
 }
 
@@ -237,8 +236,8 @@ class TestReplayEquivalence:
 
     @pytest.mark.parametrize("name", RACY[:2] + RACE_FREE[:1])
     def test_streaming_drain_matches_serial_sites(self, name, tmp_path):
-        # The chunk-streaming driver (vectorized granules, batched drain)
-        # must find exactly the serial pipeline's races.
+        # The chunk-streaming replay (vectorized granules, one front-end
+        # loop fed per chunk) must find exactly bus replay's races.
         workload = get_workload(name)
         trace = capture_workload(workload, seeds=workload.seeds[:1])
         path = tmp_path / "t.ctr"

@@ -2,13 +2,12 @@
 
 Pins the four planks of the hardening PR:
 
-- resource budgets (``IGUARD_MEM_BUDGET`` / ``IGUARD_QUEUE_CAP`` /
-  ``IGUARD_QUARANTINE``) degrade detection by recall only — never a
-  false positive, never an abort, and never a report that differs
-  between serial and batched modes;
+- resource budgets (``IGUARD_MEM_BUDGET`` / ``IGUARD_QUARANTINE``)
+  degrade detection by recall only — never a false positive, never an
+  abort;
 - poison-event quarantine absorbs a raising record identically in every
-  replay mode (byte-identical sites + quarantine block across serial,
-  batched-drain, and precomputed-granule drain replays);
+  replay mode (byte-identical sites + quarantine block across bus
+  replay and a front-end feed with precomputed granules);
 - the ddmin minimizer and the differential fuzzer are deterministic and
   the shipped triage corpus replays clean;
 - the suite executor degrades to a partial merged report (distinct exit
@@ -27,18 +26,15 @@ import pytest
 
 from repro.common.budget import (
     DEFAULT_QUARANTINE_LIMIT,
-    DEFAULT_QUEUE_CAP,
     MAX_LINE_BYTES,
     mem_budget,
     parse_bytes,
     quarantine_limit,
-    queue_cap,
 )
 from repro.common.rng import SplitMix64
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.detector import IGuard
-from repro.core.sharding import _drain_for, replay_trace_batched
-from repro.engine.replay import capture_workload, replay
+from repro.engine.replay import ReplayDevice, capture_workload, replay
 from repro.engine.trace import Trace
 from repro.errors import (
     RetryExhaustedError,
@@ -126,14 +122,6 @@ class TestBudgetKnobs:
         monkeypatch.setenv("IGUARD_MEM_BUDGET", "banana")
         assert mem_budget() is None
 
-    def test_queue_cap_env(self, monkeypatch):
-        monkeypatch.delenv("IGUARD_QUEUE_CAP", raising=False)
-        assert queue_cap() == DEFAULT_QUEUE_CAP
-        monkeypatch.setenv("IGUARD_QUEUE_CAP", "128")
-        assert queue_cap() == 128
-        monkeypatch.setenv("IGUARD_QUEUE_CAP", "-3")
-        assert queue_cap() == DEFAULT_QUEUE_CAP
-
     def test_quarantine_limit_env(self, monkeypatch):
         monkeypatch.delenv("IGUARD_QUARANTINE", raising=False)
         assert quarantine_limit() == DEFAULT_QUARANTINE_LIMIT
@@ -158,8 +146,9 @@ class TestQuarantine:
         assert quarantine.examples()[0]["stage"] == "replay"
 
     def test_snapshot_is_stage_free(self):
-        # The same poison event surfaces at "replay" in serial mode and
-        # at "drain" in batched mode; the report block must not differ.
+        # The same poison event can surface at "replay" (the bus loop)
+        # or at "drain" (the front-end loop); the report block must not
+        # differ.
         quarantine.poison(object(), TypeError("t"), "replay")
         first = quarantine.snapshot()
         quarantine.reset()
@@ -219,6 +208,48 @@ def _poisoned(events):
     return poisoned
 
 
+def _routed(events):
+    """Feed the stream to iGUARD the way columnar replay does.
+
+    The granules are precomputed before the front-end loop, exactly as
+    ``Chunk.mem_routes`` supplies them.
+    """
+    gpu = next((e for e in events if isinstance(e, GPUConfig)), TITAN_RTX)
+    tool = IGuard()
+    tool.attach(ReplayDevice(gpu))
+    granule_of = tool.table.granule_of
+    granules = [
+        granule_of(e.address) for e in events if isinstance(e, MemoryEvent)
+    ]
+    tool.feed(events, granules=iter(granules))
+    return tool
+
+
+def _sliced(events, rows, routed):
+    """Feed the stream in slices of ``rows`` records.
+
+    Every :meth:`IGuard.feed` call ends with its check queue drained, so
+    small slices force early drains at arbitrary points of the stream —
+    mid-launch and mid-sync-interval.  With ``routed`` each slice gets
+    its precomputed granules, as a columnar chunk does.
+    """
+    gpu = next((e for e in events if isinstance(e, GPUConfig)), TITAN_RTX)
+    tool = IGuard()
+    tool.attach(ReplayDevice(gpu))
+    granule_of = tool.table.granule_of
+    for start in range(0, len(events), rows):
+        piece = events[start:start + rows]
+        granules = None
+        if routed:
+            granules = iter([
+                granule_of(e.address)
+                for e in piece
+                if isinstance(e, MemoryEvent)
+            ])
+        tool.feed(piece, granules=granules)
+    return tool
+
+
 class TestPoisonByteIdentity:
     def test_all_modes_agree(self, captured_events):
         events = _poisoned(captured_events)
@@ -228,31 +259,9 @@ class TestPoisonByteIdentity:
             replay(events, tools=[tool])
             return tool
 
-        def batched():
-            return replay_trace_batched(events).tool
-
-        def routed():
-            # The columnar drain path: granules precomputed before the
-            # drain loop, exactly like Chunk.mem_routes feeds them.
-            gpu = next(
-                (e for e in events if isinstance(e, GPUConfig)), TITAN_RTX
-            )
-            drain = _drain_for(DEFAULT_CONFIG, None, gpu)
-            granule_of = drain.tool.table.granule_of
-            granules = iter(
-                [
-                    granule_of(e.address)
-                    for e in events
-                    if isinstance(e, MemoryEvent)
-                ]
-            )
-            drain.feed(events, granules=granules)
-            return drain.result().tool
-
         legs = {
             "serial": _leg(serial),
-            "batched": _leg(batched),
-            "routed": _leg(routed),
+            "routed": _leg(lambda: _routed(events)),
         }
         reference = legs["serial"]
         assert json.loads(reference)["quarantine"]["events"] == 1
@@ -283,7 +292,7 @@ class TestPoisonByteIdentity:
         with pytest.raises(TypeError):
             replay(events, tools=[IGuard()])
         with pytest.raises(TypeError):
-            replay_trace_batched(events)
+            _routed(events)
 
 
 # ---------------------------------------------------------------------------
@@ -391,30 +400,29 @@ class TestDecoderLimits:
 
 
 # ---------------------------------------------------------------------------
-# Queue cap backpressure
+# Early drains
 # ---------------------------------------------------------------------------
 
 
 class TestQueueBackpressure:
-    def test_tiny_cap_is_output_identical(self, captured_events, monkeypatch):
-        monkeypatch.delenv("IGUARD_QUEUE_CAP", raising=False)
-        reference = _leg(lambda: replay_trace_batched(captured_events).tool)
-        monkeypatch.setenv("IGUARD_QUEUE_CAP", "7")
-        capped = _leg(lambda: replay_trace_batched(captured_events).tool)
-        assert capped == reference
+    def test_tiny_cap_is_output_identical(self, captured_events):
+        # Front-end feed with precomputed granules: one call versus
+        # seven-record slices, each drained at its end.
+        reference = _leg(lambda: _routed(captured_events))
+        sliced = _leg(lambda: _sliced(captured_events, 7, routed=True))
+        assert json.loads(reference)["sites"]
+        assert sliced == reference
 
-    def test_batched_driver_cap_identical(self, captured_events, monkeypatch):
-        from repro.core.sharding import BatchedIGuard
-
-        def run():
-            tool = BatchedIGuard()
+    def test_batched_driver_cap_identical(self, captured_events):
+        # Bus replay versus five-record slices fed without granules.
+        def serial():
+            tool = IGuard()
             replay(captured_events, tools=[tool])
             return tool
 
-        monkeypatch.delenv("IGUARD_QUEUE_CAP", raising=False)
-        reference = _leg(run)
-        monkeypatch.setenv("IGUARD_QUEUE_CAP", "5")
-        assert _leg(run) == reference
+        reference = _leg(serial)
+        assert json.loads(reference)["sites"]
+        assert _leg(lambda: _sliced(captured_events, 5, routed=False)) == reference
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,11 @@
 """Property-based drain equivalence over generated programs.
 
-The batched drains' contract, stated adversarially: for *randomly
+The front end's contract, stated adversarially: for *randomly
 generated* kernels — mixing race-free phases with deliberately racy
 ones — and arbitrary scheduler seeds, iGUARD's report is the same
-whichever path drives it: the serial event bus, :class:`BatchedIGuard`
-(checks queued on the bus and drained at sync mutations), or the
-columnar chunk drain.  Same records, same order, same sites, same
-per-type counts.
+whichever way its one loop is fed: live off the device, from a bus
+replay of the recorded stream, or from the columnar chunks.  Same
+records, same order, same sites, same per-type counts.
 """
 
 import os
@@ -16,7 +15,7 @@ from collections import Counter
 from hypothesis import given, settings, strategies as st
 
 from repro.core import IGuard
-from repro.core.sharding import BatchedIGuard, replay_columnar_sharded
+from repro.core.sharding import replay_columnar_sharded
 from repro.engine.coltrace import save_columnar
 from repro.engine.replay import replay
 from repro.engine.trace import TraceSink
@@ -87,7 +86,7 @@ def _build_kernel(phases):
 
 
 def _run(phases, seed):
-    """Run the program live under serial iGUARD, recording its stream."""
+    """Run the program live under iGUARD, recording its stream."""
     dev = fresh_device()
     det = dev.add_tool(IGuard())
     sink = dev.add_sink(TraceSink())
@@ -113,12 +112,12 @@ class TestDrainsEqualSerial:
     @given(phases=_PROGRAM, seed=st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_iguard_drains_equal_serial_bus(self, phases, seed):
-        serial, events = _run(phases, seed)
-        expected = _report(serial)
+        live, events = _run(phases, seed)
+        expected = _report(live)
 
-        batched = BatchedIGuard()
-        replay(events, tools=[batched])
-        assert _report(batched) == expected, (phases, seed)
+        replayed = IGuard()
+        replay(events, tools=[replayed])
+        assert _report(replayed) == expected, (phases, seed)
 
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "program.ctr")

@@ -256,8 +256,8 @@ class TestExposition:
         assert family_of("parallel.worker.4242.cells") == (
             "iguard_parallel_worker_cells", {"pid": "4242"}
         )
-        assert family_of("shard.backpressure_drains") == (
-            "iguard_shard_backpressure_drains", {}
+        assert family_of("detector.contention.stalled_accesses") == (
+            "iguard_detector_contention_stalled_accesses", {}
         )
         assert family_of("detector.races") == ("iguard_detector_races", {})
 
