@@ -5,17 +5,12 @@ Schema the artifacts in ``benchmarks/schemas/`` use: ``type`` (including
 type lists), ``const``, ``enum``, ``required``, ``properties``,
 ``additionalProperties`` (schema form), ``items``, and ``oneOf``.  CI
 runs it so a refactor cannot silently change the
-``--metrics-out``/``--trace-out``/``--telemetry-out`` formats that
-downstream tooling (Perfetto, Prometheus, dashboards) consumes.
+``--metrics-out``/``--trace-out`` formats that downstream tooling
+(Perfetto, dashboards) consumes.
 
 Usage::
 
     python benchmarks/validate_schema.py benchmarks/schemas/trace.schema.json trace.json
-
-An instance path ending in ``.jsonl`` is treated as JSON Lines: every
-line is parsed and validated independently against the schema, with
-errors prefixed by the 1-based line number (how ``telemetry.jsonl`` is
-checked).
 
 Importable too: :func:`validate` returns a list of human-readable error
 strings (empty = valid).
@@ -134,39 +129,10 @@ def main(argv=None) -> int:
     schema = _read_json(schema_path, "schema")
     if schema is None:
         return 2
-    if instance_path.endswith(".jsonl"):
-        errors = []
-        try:
-            with open(instance_path, "r", encoding="utf-8") as handle:
-                lines = handle.readlines()
-        except OSError as exc:
-            print(
-                f"ERROR: cannot read instance {instance_path!r}: "
-                f"{exc.strerror or exc}",
-                file=sys.stderr,
-            )
-            return 2
-        if not lines:
-            errors.append("line 1: empty JSONL file (expected a header)")
-        for lineno, line in enumerate(lines, 1):
-            line = line.strip()
-            if not line:
-                errors.append(f"line {lineno}: blank line")
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                errors.append(f"line {lineno}: not valid JSON: {exc}")
-                continue
-            errors.extend(
-                f"line {lineno}: {error}"
-                for error in validate(record, schema)
-            )
-    else:
-        instance = _read_json(instance_path, "instance")
-        if instance is None:
-            return 2
-        errors = validate(instance, schema)
+    instance = _read_json(instance_path, "instance")
+    if instance is None:
+        return 2
+    errors = validate(instance, schema)
     if errors:
         for error in errors:
             print(f"INVALID {instance_path}: {error}", file=sys.stderr)

@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.checker import KernelReport, analyze_kernel
 from repro.analysis.extract import KernelSummary, extract_or_unanalyzable
 from repro.gpu.device import Device
+from repro.obs.log import configure_or_exit
 from repro.workloads.base import SIM_GPU, Workload
 
 #: Version of the lint JSON document (benchmarks/schemas/lint.schema.json).
@@ -402,6 +403,7 @@ def main(argv=None) -> int:
         help="host-driver seed (default: the workload's first seed)",
     )
     args = parser.parse_args(argv)
+    configure_or_exit()
     if args.all:
         from repro.faults.workloads import FAULT_PATTERNS
         from repro.workloads.registry import REGISTRY

@@ -87,7 +87,7 @@ class _Front:
     __slots__ = (
         "launch", "stats", "uvm", "contention", "co_batch", "co_granule",
         "checked", "coalesced", "syncs", "faults", "stalls", "stall_cycles",
-        "serial_cycles",
+        "serial_cycles", "folded_checked", "folded_passed",
     )
 
     def __init__(self, launch=None, stats=None, uvm=None, contention=None):
@@ -99,6 +99,8 @@ class _Front:
         self.contention = contention
         #: Coalescing key ``(batch, granule)`` of the last load/atomic.
         self.co_batch = self.co_granule = None
+        #: The ``stats`` check counts already folded into ``HOT``.
+        self.folded_checked = self.folded_passed = 0
         self.clear_counts()
 
     def clear_counts(self) -> None:
@@ -314,7 +316,7 @@ class IGuard(Tool):
         self._close()
 
     def _close(self) -> None:
-        """Fold the open launch's per-event tallies into stats and timing.
+        """Fold the open launch's tallies into stats, timing and HOT.
 
         The fixed per-event costs are charged in bulk: every shipped cost
         model uses integers or halves, whose multiples and sums are exact,
@@ -345,6 +347,19 @@ class IGuard(Tool):
         if front.serial_cycles:
             timing.charge(Category.DETECTION, front.serial_cycles, serial=True)
         if HOT.enabled:
+            # The check core counts checks in the launch's stats only;
+            # the registry gets what is new since the last fold.
+            stats = front.stats
+            checked_total = stats.accesses_checked
+            passed_total = sum(stats.preliminary_pass.values())
+            new_checked = checked_total - front.folded_checked
+            new_passed = passed_total - front.folded_passed
+            if new_checked:
+                HOT.detector_checked.inc(new_checked)
+                HOT.detector_prelim_pass.inc(new_passed)
+                HOT.detector_race_tier.inc(new_checked - new_passed)
+            front.folded_checked = checked_total
+            front.folded_passed = passed_total
             if coalesced:
                 HOT.detector_coalesced.inc(coalesced)
             if front.faults:

@@ -359,9 +359,6 @@ class IGuardCore(DetectorCore):
         block = where.block_id
         if stats is not None:
             stats.accesses_checked += 1
-        hot = HOT.enabled
-        if hot:
-            HOT.detector_checked.inc()
 
         entry = self.table.entries.get(granule)
         if entry is None:
@@ -408,8 +405,6 @@ class IGuardCore(DetectorCore):
             if stats is not None:
                 counts = stats.preliminary_pass
                 counts[passed] = counts.get(passed, 0) + 1
-            if hot:
-                HOT.detector_prelim_pass.inc()
         else:
             race_type = self._race_tier(
                 acc, wr, md, event, granule, launch, locks, table
@@ -443,7 +438,7 @@ class IGuardCore(DetectorCore):
             else:
                 acc = (acc | MODIFIED) & ~(ATOMIC | SCOPE)
         entry.accessor_word = acc
-        if hot and not is_load:
+        if HOT.enabled and not is_load:
             self._writer_lock_truth[granule] = frozenset(table.held_hashes())
         if config.accessor_history > 1:
             self._record_history(
@@ -462,8 +457,6 @@ class IGuardCore(DetectorCore):
         """R1-R5 for an access every preliminary check failed on."""
         config = self.config
         where = event.where
-        if HOT.enabled:
-            HOT.detector_race_tier.inc()
         race_type = race_checks(
             acc, wr, md, where.warp_id, where.block_id, locks, self.sync,
             launch.warps_per_block, config.its_support, config.lockset,

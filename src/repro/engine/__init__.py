@@ -9,12 +9,12 @@ instead of an implicit callback side effect:
   :class:`ToolSink` adapter adding failure isolation + per-sink timing;
 - :mod:`repro.engine.trace` — the trace codec: capture one execution to a
   compact JSONL (optionally gzipped) record stream;
+- :mod:`repro.engine.coltrace` — the columnar trace container (``.ctr``)
+  that replays decode chunk by chunk;
 - :mod:`repro.engine.replay` — re-drive any detector over a recorded
   trace deterministically, without re-simulating the GPU;
 - :mod:`repro.engine.fanout` — one execution pass feeding N detectors
-  simultaneously, each with its own timing accounting;
-- :mod:`repro.engine.parallel` — the multiprocessing suite executor
-  behind the experiment drivers' ``--workers N`` flag.
+  simultaneously, each with its own timing accounting.
 
 Submodules that depend on :mod:`repro.workloads` are imported lazily to
 keep ``gpu.device -> engine.bus`` cycle-free.
@@ -36,7 +36,6 @@ __all__ = [
     "replay_workload",
     "ReplayDevice",
     "run_workload_fanout",
-    "parallel_map",
 ]
 
 _LAZY = {
@@ -45,7 +44,6 @@ _LAZY = {
     "replay_workload": "repro.engine.replay",
     "ReplayDevice": "repro.engine.replay",
     "run_workload_fanout": "repro.engine.fanout",
-    "parallel_map": "repro.engine.parallel",
 }
 
 

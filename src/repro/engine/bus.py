@@ -24,8 +24,7 @@ needs on top of a plain tool:
 from __future__ import annotations
 
 from dataclasses import replace
-from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import (
     OutOfMemoryError,
@@ -33,9 +32,6 @@ from repro.errors import (
     UnsupportedFeatureError,
 )
 from repro.instrument.timing import TimingBreakdown, shared_native_view
-from repro.obs import metrics as obs_metrics
-from repro.obs.metrics import HOT
-from repro.obs.spans import TRACER, now_us
 
 
 class EventBus:
@@ -51,32 +47,18 @@ class EventBus:
     looping and re-resolving ``sink.on_memory`` per event.  The cache is
     guarded by identity against ``sinks`` (which legacy code may append
     to directly via the ``device.tools`` alias), so mutations from any
-    path fall back to the general loop and re-prime the cache.
-
-    When the metrics registry is enabled, the hot publishes switch to a
-    timed dispatch instead: each sink call is measured with
-    ``perf_counter`` into the global and per-sink publish-latency
-    histograms, and per-launch accumulated dispatch seconds are emitted
-    as ``dispatch:<sink>`` trace spans at kernel end.  The cost lives
-    entirely behind the ``HOT.enabled`` test, so a disabled registry
-    keeps the monomorphic fast path untouched.
+    path fall back to the general loop and re-prime the cache.  The bus
+    keeps no metrics of its own, so dispatch takes the same path whether
+    the metrics registry is on or off.
     """
 
-    __slots__ = (
-        "sinks", "_solo", "_solo_memory", "_solo_sync",
-        "_sink_hists", "_dispatch_accum", "_dispatch_start",
-    )
+    __slots__ = ("sinks", "_solo", "_solo_memory", "_solo_sync")
 
     def __init__(self) -> None:
         self.sinks: List = []
         self._solo = None
         self._solo_memory = None
         self._solo_sync = None
-        #: sink name -> per-sink publish-latency histogram (lazy).
-        self._sink_hists: Dict[str, object] = {}
-        #: sink name -> dispatch seconds accumulated this launch.
-        self._dispatch_accum: Dict[str, float] = {}
-        self._dispatch_start = 0.0
 
     def add_sink(self, sink, device=None):
         """Register a sink; if ``device`` is given, attach the sink to it."""
@@ -107,16 +89,10 @@ class EventBus:
             sink.on_alloc(allocation)
 
     def publish_launch_begin(self, launch) -> None:
-        if HOT.enabled:
-            self._dispatch_accum = {}
-            self._dispatch_start = now_us()
         for sink in self.sinks:
             sink.on_launch_begin(launch)
 
     def publish_memory(self, event, launch) -> None:
-        if HOT.enabled:
-            self._publish_timed("on_memory", event, launch)
-            return
         sinks = self.sinks
         if len(sinks) == 1:
             if sinks[0] is not self._solo:
@@ -127,9 +103,6 @@ class EventBus:
             sink.on_memory(event, launch)
 
     def publish_sync(self, event, launch) -> None:
-        if HOT.enabled:
-            self._publish_timed("on_sync", event, launch)
-            return
         sinks = self.sinks
         if len(sinks) == 1:
             if sinks[0] is not self._solo:
@@ -138,25 +111,6 @@ class EventBus:
             return
         for sink in sinks:
             sink.on_sync(event, launch)
-
-    def _publish_timed(self, method: str, event, launch) -> None:
-        """Metrics-enabled dispatch: per-sink latency into the registry."""
-        for sink in self.sinks:
-            start = perf_counter()
-            getattr(sink, method)(event, launch)
-            elapsed = perf_counter() - start
-            HOT.bus_publish_seconds.observe(elapsed)
-            name = getattr(sink, "name", None) or type(sink).__name__
-            hist = self._sink_hists.get(name)
-            if hist is None:
-                hist = obs_metrics.get_registry().histogram(
-                    f"bus.publish_seconds.{name}"
-                )
-                self._sink_hists[name] = hist
-            hist.observe(elapsed)
-            self._dispatch_accum[name] = (
-                self._dispatch_accum.get(name, 0.0) + elapsed
-            )
 
     def publish_launch_end(self, launch) -> None:
         for sink in self.sinks:
@@ -177,19 +131,6 @@ class EventBus:
             callback = getattr(sink, "on_kernel_end", None)
             if callback is not None:
                 callback(run, launch)
-        if TRACER.enabled and self._dispatch_accum:
-            # One span per sink covering this launch's accumulated
-            # dispatch time, anchored at the launch's first publish.
-            for name, seconds in sorted(self._dispatch_accum.items()):
-                TRACER.add_complete(
-                    f"dispatch:{name}",
-                    self._dispatch_start,
-                    seconds * 1e6,
-                    cat="bus",
-                    tid=TRACER.tid_for(f"dispatch:{name}"),
-                    args={"kernel": run.kernel_name},
-                )
-            self._dispatch_accum = {}
 
 
 #: Failure modes a ToolSink absorbs, mapped to WorkloadResult statuses.

@@ -75,23 +75,3 @@ class TraceCorruptionError(ReproError):
         self.last_good_offset = last_good_offset
         self.reason = reason
         self.events_recovered = events_recovered
-
-
-class WorkerCrashError(ReproError):
-    """A suite-executor worker process died while running a cell."""
-
-
-class RetryExhaustedError(ReproError):
-    """A suite cell kept failing after the executor's bounded retries.
-
-    ``attempts`` counts executions (initial try + retries); ``last_error``
-    is a human-readable description of the final failure.
-    """
-
-    def __init__(self, label: str, attempts: int, last_error: str):
-        super().__init__(
-            f"cell {label!r} failed after {attempts} attempt(s): {last_error}"
-        )
-        self.label = label
-        self.attempts = attempts
-        self.last_error = last_error

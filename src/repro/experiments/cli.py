@@ -25,7 +25,6 @@ Two non-experiment subcommands ride the same entry point:
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 import time
 
@@ -36,6 +35,9 @@ from repro.obs import (
     finalize_observability,
 )
 from repro.obs.log import get_logger, output
+
+#: Functions ``--profile`` prints per experiment, by cumulative time.
+PROFILE_TOP = 25
 
 
 def main(argv=None) -> int:
@@ -82,71 +84,13 @@ def main(argv=None) -> int:
              f"'iguard-experiments lint --help')",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for experiments whose suite executor "
-             "supports parallel fan-out (default: 1)",
-    )
-    parser.add_argument(
-        "--chaos",
-        default=None,
-        metavar="SPEC",
-        help="inject worker faults via an IGUARD_CHAOS spec, e.g. "
-             "'crash=0.25,hang=0.1,seed=11' (see repro.faults.chaos)",
-    )
-    parser.add_argument(
-        "--cell-timeout",
-        type=float,
-        default=None,
-        metavar="SEC",
-        help="hard per-cell timeout for the suite executor: kill and "
-             "retry cells running longer than SEC seconds",
-    )
-    parser.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="PATH",
-        help="journal completed suite cells to PATH (crash-safe resume)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="serve cells already journaled in --checkpoint instead of "
-             "re-running them (byte-identical merged results)",
-    )
-    parser.add_argument(
         "--profile",
-        nargs="?",
-        const=25,
-        default=None,
-        type=int,
-        metavar="N",
-        help="run under cProfile and print the top N functions by "
-             "cumulative time after each experiment (default N: 25)",
+        action="store_true",
+        help=f"run under cProfile and print the top {PROFILE_TOP} "
+             f"functions by cumulative time after each experiment",
     )
     add_observability_args(parser)
     args = parser.parse_args(argv)
-    if args.resume and not args.checkpoint:
-        parser.error("--resume requires --checkpoint")
-    # Chaos/timeout/checkpoint arm process-wide state the suite executor
-    # consults, so no experiment driver needs new parameters.
-    if args.chaos is not None:
-        import os
-
-        from repro.faults import chaos as chaos_module
-
-        os.environ[chaos_module.ENV_VAR] = args.chaos
-    if args.cell_timeout is not None:
-        import os
-
-        from repro.engine.parallel import CELL_TIMEOUT_ENV
-
-        os.environ[CELL_TIMEOUT_ENV] = str(args.cell_timeout)
-    if args.checkpoint:
-        from repro.engine import checkpoint as ckpt
-
-        ckpt.set_active(ckpt.CellJournal(args.checkpoint, resume=args.resume))
     begin_observability(args)
     logger = get_logger("cli")
     names = args.experiments or list(ALL_EXPERIMENTS)
@@ -157,29 +101,20 @@ def main(argv=None) -> int:
         module = ALL_EXPERIMENTS[name]
         logger.debug("starting experiment %s", name)
         started = time.time()
-
-        def run_experiment(module=module):
-            # Experiment mains grew an argv parameter as they gained
-            # flags; the rest keep their zero-argument signature.
-            if "argv" in inspect.signature(module.main).parameters:
-                module.main(["--workers", str(args.workers)])
-            else:
-                module.main()
-
         if args.profile:
             import cProfile
             import pstats
 
             profiler = cProfile.Profile()
             profiler.enable()
-            run_experiment()
+            module.main()
             profiler.disable()
             stats = pstats.Stats(profiler, stream=sys.stdout)
             stats.strip_dirs().sort_stats("cumulative")
-            output(f"\n--- cProfile: {name} (top {args.profile}) ---")
-            stats.print_stats(args.profile)
+            output(f"\n--- cProfile: {name} (top {PROFILE_TOP}) ---")
+            stats.print_stats(PROFILE_TOP)
         else:
-            run_experiment()
+            module.main()
         # The completion line is part of the CLI's stdout contract
         # (tests and drivers grep for it), so it stays on the result
         # channel rather than the stderr log.

@@ -15,7 +15,6 @@ aggregate statistics the paper quotes.
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field
 from statistics import geometric_mean, mean
 from typing import Dict, List, Optional
@@ -23,7 +22,7 @@ from typing import Dict, List, Optional
 from repro.baselines import Barracuda
 from repro.core import IGuard
 from repro.experiments.reporting import fmt_overhead, render_table, title
-from repro.obs.log import output
+from repro.obs.log import configure_or_exit, output
 from repro.workloads import racefree_workloads, racy_workloads, run_suite
 
 
@@ -59,12 +58,12 @@ class Panel:
         return geometric_mean(bar / ig for ig, bar in pairs)
 
 
-def _measure(workloads, workers: int = 1) -> List[Bar]:
+def _measure(workloads) -> List[Bar]:
     requests = []
     for workload in workloads:
         requests.append((workload, IGuard, (1,)))
         requests.append((workload, Barracuda, (1,)))
-    results = run_suite(requests, workers=workers)
+    results = run_suite(requests)
     bars = []
     for index, workload in enumerate(workloads):
         ig = results[2 * index]
@@ -81,16 +80,16 @@ def _measure(workloads, workers: int = 1) -> List[Bar]:
     return bars
 
 
-def run(workers: int = 1) -> Dict[str, Panel]:
+def run() -> Dict[str, Panel]:
     """Measure both panels."""
     return {
         "a": Panel(
             label="(a) applications with races",
-            bars=_measure(racy_workloads(), workers=workers),
+            bars=_measure(racy_workloads()),
         ),
         "b": Panel(
             label="(b) applications without races",
-            bars=_measure(racefree_workloads(), workers=workers),
+            bars=_measure(racefree_workloads()),
         ),
     }
 
@@ -125,17 +124,10 @@ def render(panels: Dict[str, Panel]) -> str:
     return "\n".join(sections)
 
 
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(
-        description="Figure 11: performance overheads"
-    )
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for the suite executor (default: 1)",
-    )
-    args = parser.parse_args(argv)
-    output(render(run(workers=args.workers)))
+def main() -> None:
+    output(render(run()))
 
 
 if __name__ == "__main__":
+    configure_or_exit()
     main()

@@ -16,7 +16,7 @@ from typing import List
 from repro.core import IGuard
 from repro.core.config import DEFAULT_CONFIG
 from repro.experiments.reporting import fmt_overhead, render_table, title
-from repro.obs.log import output
+from repro.obs.log import configure_or_exit, output
 from repro.workloads import REGISTRY, run_workload
 
 
@@ -87,4 +87,5 @@ def main() -> None:
 
 
 if __name__ == "__main__":
+    configure_or_exit()
     main()

@@ -18,7 +18,7 @@ from typing import Dict, List
 from repro.core import IGuard
 from repro.experiments.reporting import render_table, title
 from repro.instrument.timing import Category
-from repro.obs.log import output
+from repro.obs.log import configure_or_exit, output
 from repro.workloads import REGISTRY, run_workload
 
 CATEGORIES = [c.value for c in Category]
@@ -72,4 +72,5 @@ def main() -> None:
 
 
 if __name__ == "__main__":
+    configure_or_exit()
     main()

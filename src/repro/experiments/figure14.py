@@ -25,7 +25,7 @@ from repro.experiments.reporting import fmt_overhead, render_table, title
 from repro.gpu.arch import GiB
 from repro.gpu.device import Device
 from repro.gpu.instructions import atomic_add, compute, load
-from repro.obs.log import output
+from repro.obs.log import configure_or_exit, output
 from repro.workloads.base import SIM_GPU
 
 FOOTPRINTS_GB = (1, 2, 4, 8, 16)
@@ -130,4 +130,5 @@ def main() -> None:
 
 
 if __name__ == "__main__":
+    configure_or_exit()
     main()

@@ -15,7 +15,7 @@ from repro.experiments.reporting import render_table, title
 from repro.gpu.arch import TEST_GPU
 from repro.gpu.device import Device
 from repro.gpu.instructions import Scope, fence, load, store
-from repro.obs.log import output
+from repro.obs.log import configure_or_exit, output
 
 
 def _fence_kernel(ctx, data, scope, iterations):
@@ -77,4 +77,5 @@ def main() -> None:
 
 
 if __name__ == "__main__":
+    configure_or_exit()
     main()

@@ -27,7 +27,7 @@ from repro.gpu.instructions import (
     store,
     syncwarp,
 )
-from repro.obs.log import output
+from repro.obs.log import configure_or_exit, output
 from repro.workloads.patterns import signal, wait_for
 
 FEATURES = ["Sc. fence", "Sc. atomic", "ITS", "CG"]
@@ -183,4 +183,5 @@ def main() -> None:
 
 
 if __name__ == "__main__":
+    configure_or_exit()
     main()

@@ -9,14 +9,13 @@ not terminate" on Kilo-TM's interac.
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.baselines import Barracuda
 from repro.core import IGuard
 from repro.experiments.reporting import render_table, title
-from repro.obs.log import output
+from repro.obs.log import configure_or_exit, output
 from repro.workloads import racy_workloads, run_suite
 
 
@@ -31,18 +30,14 @@ class Row:
     types: str
 
 
-def run(workers: int = 1) -> List[Row]:
-    """Execute every racy workload under both detectors.
-
-    ``workers > 1`` fans the (workload, detector, seed) cells out over
-    processes; the merged rows are identical to the serial ones.
-    """
+def run() -> List[Row]:
+    """Execute every racy workload under both detectors."""
     workloads = racy_workloads()
     requests = []
     for workload in workloads:
         requests.append((workload, IGuard, None))
         requests.append((workload, Barracuda, (1,)))
-    results = run_suite(requests, workers=workers)
+    results = run_suite(requests)
 
     rows: List[Row] = []
     for index, workload in enumerate(workloads):
@@ -90,15 +85,10 @@ def render(rows: List[Row]) -> str:
     return "\n".join([title("Table 4: races detected"), legend, "", table, "", summary])
 
 
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description="Table 4: races detected")
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for the suite executor (default: 1)",
-    )
-    args = parser.parse_args(argv)
-    output(render(run(workers=args.workers)))
+def main() -> None:
+    output(render(run()))
 
 
 if __name__ == "__main__":
+    configure_or_exit()
     main()

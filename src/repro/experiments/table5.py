@@ -9,13 +9,12 @@ output is an empty misreport list.
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 from typing import List
 
 from repro.core import IGuard
 from repro.experiments.reporting import render_table, title
-from repro.obs.log import output
+from repro.obs.log import configure_or_exit, output
 from repro.workloads import racefree_workloads, run_suite
 
 
@@ -29,14 +28,14 @@ class Row:
     status: str
 
 
-def run(extra_seeds=(7, 11), workers: int = 1) -> List[Row]:
+def run(extra_seeds=(7, 11)) -> List[Row]:
     """Run every race-free workload; extra seeds widen schedule coverage."""
     workloads = racefree_workloads()
     requests = [
         (workload, IGuard, tuple(workload.seeds) + tuple(extra_seeds))
         for workload in workloads
     ]
-    results = run_suite(requests, workers=workers)
+    results = run_suite(requests)
     return [
         Row(
             suite=workload.suite,
@@ -68,17 +67,10 @@ def render(rows: List[Row]) -> str:
     )
 
 
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(
-        description="Table 5: race-free applications"
-    )
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for the suite executor (default: 1)",
-    )
-    args = parser.parse_args(argv)
-    output(render(run(workers=args.workers)))
+def main() -> None:
+    output(render(run()))
 
 
 if __name__ == "__main__":
+    configure_or_exit()
     main()

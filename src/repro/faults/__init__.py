@@ -1,6 +1,5 @@
-"""Fault injection and chaos engineering for the iGUARD reproduction.
-
-Three layers, one package:
+"""Fault injection and adversarial-input hardening for the iGUARD
+reproduction.
 
 - :mod:`repro.faults.mutators` — seeded transformations over the kernel
   DSL instruction stream (drop/weaken fences, skip barriers, demote
@@ -11,14 +10,13 @@ Three layers, one package:
   direction-pinned race;
 - :mod:`repro.faults.recall` — the detection-power regression gate: run
   iGUARD over every (workload, mutant) cell and report detected/missed;
-- :mod:`repro.faults.chaos` — infrastructure chaos: crash/hang/slow/flake
-  faults injected into suite-executor workers behind the ``IGUARD_CHAOS``
-  environment spec, exercised against the executor's retry/resume
-  machinery.
+- :mod:`repro.faults.fuzz` and :mod:`repro.faults.ddmin` — the
+  differential fuzz campaign over the DSL and the trace codecs, with
+  ddmin minimization into a triage corpus;
+- :mod:`repro.faults.quarantine` — poison-event quarantine: a record
+  whose check raises is recorded and skipped, bounded.
 
-Submodules import lazily on purpose: :mod:`repro.engine.parallel` pulls
-in :mod:`repro.faults.chaos` (stdlib-only) without dragging the mutation
-catalog into every worker process.
+Submodules are imported on use, not by this package.
 """
 
-__all__ = ["chaos", "mutators", "recall", "workloads"]
+__all__ = ["ddmin", "fuzz", "mutators", "quarantine", "recall", "workloads"]

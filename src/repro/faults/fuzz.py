@@ -66,7 +66,7 @@ from repro.gpu.instructions import (
     syncthreads,
     syncwarp,
 )
-from repro.obs.log import get_logger
+from repro.obs.log import configure_or_exit, get_logger
 from repro.workloads.base import Workload
 
 logger = get_logger("fuzz")
@@ -648,6 +648,7 @@ def main(argv=None) -> int:
         help="write the campaign stats document to PATH",
     )
     args = parser.parse_args(argv)
+    configure_or_exit()
     corpus_dir = args.corpus or default_corpus_dir()
 
     if args.replay_corpus:
@@ -701,6 +702,7 @@ def minimize_main(argv=None) -> int:
     )
     parser.add_argument("entry", help="path to a corpus entry JSON file")
     args = parser.parse_args(argv)
+    configure_or_exit()
     with open(args.entry, "r", encoding="utf-8") as handle:
         entry = json.load(handle)
     failure = replay_entry(entry)

@@ -6,7 +6,7 @@ replay — the exact failure mode the salvage contract already forbids for
 *detection* plane: when handling a single event raises an unexpected
 exception, the event is recorded and skipped, detection continues on
 everything else, and the degradation is surfaced exactly like
-``metadata_max_entries`` eviction (HOT counter, watchdog rule,
+``metadata_max_entries`` eviction (HOT counter and a
 structured ``quarantine`` block in reports).  A quarantined event can
 hide a race on its own granule — bounded recall loss — but can never
 invent one.
@@ -46,7 +46,7 @@ from repro.obs.metrics import HOT
 
 #: Exceptions quarantine must never absorb: intentional policy and
 #: contract signals (ReproError covers Unsupported/OOM/Timeout/Deadlock/
-#: TraceCorruption/Config/RetryExhausted/WorkerCrash) plus allocator
+#: TraceCorruption/Config) plus allocator
 #: exhaustion.  BaseExceptions (KeyboardInterrupt, SystemExit) never
 #: reach :func:`poison` — wrap points catch ``Exception`` only.
 EXEMPT = (ReproError, MemoryError)

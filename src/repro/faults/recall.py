@@ -9,27 +9,22 @@ non-zero and CI fails, which is what makes it a recall regression gate
 rather than a demo.
 
 The report is deliberately timing-free and key-sorted, so two runs of
-the same tree produce byte-identical JSON — CI exploits that to assert
-that a chaos-injected ``--workers 2`` run (worker crashes, hangs,
-retries, resume) merges to exactly the fault-free serial result.
+the same tree produce byte-identical JSON (CI runs the gate twice and
+compares the reports).
 
 CLI::
 
     python -m repro.faults.recall [--workloads a,b] [--mutants N]
-        [--seed S] [--workers N] [--cell-timeout SEC]
-        [--checkpoint PATH [--resume]] [--chaos SPEC] [--json OUT]
+        [--seed S] [--json OUT]
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.rng import SplitMix64
 from repro.core.detector import IGuard
-from repro.engine import checkpoint as ckpt
-from repro.engine.parallel import parallel_map
 from repro.errors import DeadlockError, TimeoutError_
 from repro.faults.mutators import install
 from repro.faults.workloads import FAULT_PATTERNS, PatternWorkload, get_pattern
@@ -42,25 +37,13 @@ from repro.workloads.base import SIM_GPU
 REPORT_SCHEMA = 2
 
 
-@dataclass(frozen=True)
-class _RecallCell:
-    """One executable gate cell: a pattern, optionally mutated."""
-
-    pattern: str
-    mutation: Optional[str]  # None = the race-free baseline
-
-    def __str__(self) -> str:
-        return f"recall:{self.pattern}:{self.mutation or 'baseline'}"
-
-
-def _run_recall_cell(cell: _RecallCell) -> dict:
+def _run_recall_cell(pattern: PatternWorkload, spec) -> dict:
     """Run one gate cell over the pattern's pinned seeds; union the races.
 
+    ``spec`` is the cell's mutation, or None for the race-free baseline.
     Every field of the returned record is deterministic in (tree, cell):
-    sites are source positions, never timings or pids.
+    sites are source positions, never timings.
     """
-    pattern = get_pattern(cell.pattern)
-    spec = pattern.mutation(cell.mutation) if cell.mutation else None
     sites: Dict[str, str] = {}
     applied = 0
     status = "ok"
@@ -79,8 +62,8 @@ def _run_recall_cell(cell: _RecallCell) -> dict:
         for ip, race_type in tool.races.sites():
             sites[ip] = str(race_type)
     record = {
-        "workload": cell.pattern,
-        "mutation": cell.mutation,
+        "workload": pattern.name,
+        "mutation": spec.name if spec is not None else None,
         "status": status,
         "applied": applied,
         "sites": sorted(sites.items()),
@@ -127,9 +110,6 @@ def run_recall(
     workload_names: Optional[Sequence[str]] = None,
     mutants: Optional[int] = None,
     seed: int = 1,
-    workers: int = 1,
-    cell_timeout: Optional[float] = None,
-    journal: Optional[ckpt.CellJournal] = None,
 ) -> dict:
     """Run the gate and return the (deterministic, JSON-ready) report."""
     patterns = (
@@ -137,35 +117,11 @@ def run_recall(
         if workload_names
         else list(FAULT_PATTERNS)
     )
-    cells: List[_RecallCell] = []
+    records: List[dict] = []
     for pattern in patterns:
-        cells.append(_RecallCell(pattern.name, None))
+        records.append(_run_recall_cell(pattern, None))
         for spec in select_mutations(pattern, mutants, seed):
-            cells.append(_RecallCell(pattern.name, spec.name))
-
-    keys = [f"{cell}|s{seed}|{ckpt.config_fingerprint(SIM_GPU)}"
-            for cell in cells]
-    records: List[Optional[dict]] = [None] * len(cells)
-    submit: List[int] = []
-    for index, key in enumerate(keys):
-        if journal is not None and key in journal:
-            records[index] = journal.get(key)
-        else:
-            submit.append(index)
-
-    def _journal_result(position: int, record: dict) -> None:
-        if journal is not None:
-            journal.record(keys[submit[position]], record)
-
-    fresh = parallel_map(
-        _run_recall_cell,
-        [cells[i] for i in submit],
-        workers,
-        hard_timeout=cell_timeout,
-        on_result=_journal_result,
-    )
-    for position, record in zip(submit, fresh):
-        records[position] = record
+            records.append(_run_recall_cell(pattern, spec))
 
     workloads: Dict[str, dict] = {}
     detected = missed = baseline_false_positives = 0
@@ -259,7 +215,6 @@ def render(report: dict) -> str:
 
 def main(argv=None) -> int:
     import argparse
-    import os
 
     from repro.obs import (
         add_observability_args,
@@ -282,57 +237,22 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument(
-        "--workers", type=int, default=1,
-        help="fan gate cells out over N worker processes",
-    )
-    parser.add_argument(
-        "--cell-timeout", type=float, default=None, metavar="SEC",
-        help="hard per-cell timeout: kill and retry cells running longer "
-             "than SEC seconds (default: IGUARD_CELL_TIMEOUT or none)",
-    )
-    parser.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help="journal completed cells to PATH for crash-safe --resume",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="serve cells already journaled in --checkpoint",
-    )
-    parser.add_argument(
-        "--chaos", default=None, metavar="SPEC",
-        help="set IGUARD_CHAOS for this run, e.g. 'crash=0.25,seed=11'",
-    )
-    parser.add_argument(
         "--json", default=None, metavar="PATH",
         help="write the deterministic JSON report to PATH",
     )
     add_observability_args(parser)
     args = parser.parse_args(argv)
-    if args.resume and not args.checkpoint:
-        parser.error("--resume requires --checkpoint")
-    if args.chaos is not None:
-        from repro.faults import chaos as chaos_module
-
-        os.environ[chaos_module.ENV_VAR] = args.chaos
     begin_observability(args)
 
     from repro.obs.log import log_run_config
 
-    log_run_config(backend="iguard", workers=args.workers)
+    log_run_config(backend="iguard")
 
-    journal = (
-        ckpt.CellJournal(args.checkpoint, resume=args.resume)
-        if args.checkpoint
-        else None
-    )
     names = args.workloads.split(",") if args.workloads else None
     report = run_recall(
         workload_names=names,
         mutants=args.mutants,
         seed=args.seed,
-        workers=args.workers,
-        cell_timeout=args.cell_timeout,
-        journal=journal,
     )
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:

@@ -2,9 +2,8 @@
 
 Historically the experiments and harnesses printed everything — tables,
 progress, warnings — straight to stdout, so a suite run's *product* (the
-paper-style tables) and its *diagnostics* (worker heartbeats, stall
-warnings, profile dumps) were inseparable.  This module splits the two
-channels:
+paper-style tables) and its *diagnostics* (progress, warnings, profile
+dumps) were inseparable.  This module splits the two channels:
 
 - :func:`output` is the **result channel**: plain ``print`` to stdout,
   used for the tables, figures and summaries an experiment exists to
@@ -12,7 +11,9 @@ channels:
 - :func:`get_logger` returns a stdlib logger under the ``iguard`` root,
   whose handler writes *stderr*.  The level comes from ``IGUARD_LOG``
   (``debug`` | ``info`` | ``warn`` | ``error``; default ``info``) or the
-  ``--log-level`` CLI flag via :func:`configure`.
+  ``--log-level`` CLI flag via :func:`configure`.  Entry points call
+  :func:`configure_or_exit`, which turns a bad ``IGUARD_LOG`` into exit
+  code 2 with a one-line message.
 
 The facade configures the ``iguard`` root logger only — never the global
 root — so embedding applications keep full control of their own logging.
@@ -41,12 +42,17 @@ _configured = False
 
 def _resolve_level(level: Optional[str]) -> int:
     """Map a level name (or None → $IGUARD_LOG → 'info') to a logging level."""
-    name = (level or os.environ.get("IGUARD_LOG") or "info").strip().lower()
+    if level is None:
+        name = (os.environ.get("IGUARD_LOG") or "info").strip().lower()
+        source = "IGUARD_LOG"
+    else:
+        name, source = level.strip().lower(), "log level"
     try:
         return _LEVELS[name]
     except KeyError:
         raise ValueError(
-            f"unknown log level {name!r}; use one of {', '.join(_LEVELS)}"
+            f"{source}={name!r} is not a log level; "
+            f"use one of {', '.join(_LEVELS)}"
         ) from None
 
 
@@ -72,26 +78,44 @@ def configure(level: Optional[str] = None, stream=None) -> logging.Logger:
     return root
 
 
+def configure_or_exit(level: Optional[str] = None) -> logging.Logger:
+    """:func:`configure` for command-line entry points.
+
+    A level that names no level (a bad ``IGUARD_LOG``) ends the process
+    with exit code 2 and a one-line message on stderr, not a traceback.
+    """
+    try:
+        return configure(level)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def get_logger(name: str = "") -> logging.Logger:
-    """A logger under the ``iguard`` root, auto-configuring on first use."""
+    """A logger under the ``iguard`` root, auto-configuring on first use.
+
+    Modules take their logger at import, so a bad ``IGUARD_LOG`` must
+    not raise here: the facade falls back to ``info`` and the entry
+    point's :func:`configure_or_exit` reports the bad value.
+    """
     if not _configured:
-        configure()
+        try:
+            configure()
+        except ValueError:
+            configure("info")
     return logging.getLogger(f"{ROOT}.{name}" if name else ROOT)
 
 
 def log_run_config(
-    backend: str,
-    workers: int,
-    logger: Optional[logging.Logger] = None,
+    backend: str, logger: Optional[logging.Logger] = None
 ) -> None:
-    """One-line INFO summary of a run's execution shape.
+    """One-line INFO summary of a run's detector backend.
 
     Emitted once at startup by the entry points (runner, recall gate)
-    so any log capture states how the run was configured — which
-    detector backend, and how many worker processes fan cells out.
+    so any log capture states how the run was configured.
     """
     log = logger if logger is not None else get_logger("config")
-    log.info("run config: backend=%s workers=%d", backend, workers)
+    log.info("run config: backend=%s", backend)
 
 
 def output(*parts: object, sep: str = " ", end: str = "\n") -> None:

@@ -8,31 +8,31 @@ Design constraints, in order:
    hot call site is written as::
 
        if HOT.enabled:
-           HOT.detector_checked.inc()
+           HOT.lock_inserts.inc()
 
    — one attribute load and one boolean test per guarded block, no
    function call, no dict lookup.  ``HOT`` carries the pre-registered
    hot-path instruments as plain attributes.
 
+   Counts the detector already keeps per launch (accesses checked,
+   preliminary passes, race-tier checks) are not incremented per check
+   at all: the detector folds them into ``HOT`` once per launch.
+
 2. **Plain data out.**  ``snapshot()`` returns JSON-able dicts (the
    ``--metrics-out`` artifact is validated against a checked-in schema in
-   CI), and worker-process snapshots merge losslessly into the parent
-   registry (counters add, gauges last-write-wins, histograms merge
-   bucket-wise) so ``--workers N`` suite runs aggregate like serial ones.
+   CI).
 
 3. **No dependencies.**  Stdlib only; the registry works everywhere the
    reproduction does.
 
 Enable with ``set_enabled(True)``, the ``--metrics-out`` CLI flags, or
-``IGUARD_METRICS=1`` in the environment (read at import, so forked or
-spawned workers inherit the setting).
+``IGUARD_METRICS=1`` in the environment (read at import).
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from typing import Dict, Optional
 
 
@@ -40,7 +40,6 @@ class Counter:
     """A monotonically increasing count (float increments allowed)."""
 
     __slots__ = ("name", "value")
-    kind = "counter"
 
     def __init__(self, name: str):
         self.name = name
@@ -59,15 +58,11 @@ class Counter:
             "value": int(value) if float(value).is_integer() else value,
         }
 
-    def merge(self, snap: dict) -> None:
-        self.value += snap.get("value", 0)
-
 
 class Gauge:
     """A point-in-time value (last write wins)."""
 
     __slots__ = ("name", "value")
-    kind = "gauge"
 
     def __init__(self, name: str):
         self.name = name
@@ -82,21 +77,17 @@ class Gauge:
     def snapshot(self) -> dict:
         return {"type": "gauge", "value": self.value}
 
-    def merge(self, snap: dict) -> None:
-        self.value = snap.get("value", self.value)
-
 
 class Histogram:
     """Count/sum/min/max plus power-of-two magnitude buckets.
 
     Bucketing uses ``math.frexp`` — the bucket key is the binary exponent
-    of the observed value — which is cheap, needs no preconfigured bounds,
-    and merges trivially across processes.  Good enough to tell a 2 µs
-    dispatch from a 2 ms one, which is what the registry is for.
+    of the observed value — which is cheap and needs no preconfigured
+    bounds.  Good enough to tell a 2 µs operation from a 2 ms one, which
+    is what the registry is for.
     """
 
     __slots__ = ("name", "count", "sum", "min", "max", "buckets")
-    kind = "histogram"
 
     def __init__(self, name: str):
         self.name = name
@@ -134,43 +125,18 @@ class Histogram:
             "buckets": {str(k): v for k, v in sorted(self.buckets.items())},
         }
 
-    def merge(self, snap: dict) -> None:
-        self.count += snap.get("count", 0)
-        self.sum += snap.get("sum", 0.0)
-        for bound in ("min", "max"):
-            theirs = snap.get(bound)
-            if theirs is None:
-                continue
-            ours = getattr(self, bound)
-            if ours is None:
-                setattr(self, bound, theirs)
-            else:
-                pick = min if bound == "min" else max
-                setattr(self, bound, pick(ours, theirs))
-        for key, count in snap.get("buckets", {}).items():
-            key = int(key)
-            self.buckets[key] = self.buckets.get(key, 0) + count
-
-
-_KINDS = {cls.kind: cls for cls in (Counter, Gauge, Histogram)}
-
 
 class MetricsRegistry:
-    """A named collection of instruments with JSON snapshot/merge."""
+    """A named collection of instruments with a JSON snapshot."""
 
     def __init__(self, enabled: bool = False):
         self.enabled = enabled
         self._instruments: Dict[str, object] = {}
-        self._lock = threading.Lock()
 
     def _get(self, name: str, cls):
         instrument = self._instruments.get(name)
         if instrument is None:
-            with self._lock:
-                instrument = self._instruments.get(name)
-                if instrument is None:
-                    instrument = cls(name)
-                    self._instruments[name] = instrument
+            instrument = self._instruments[name] = cls(name)
         if not isinstance(instrument, cls):
             raise TypeError(
                 f"metric {name!r} already registered as "
@@ -208,19 +174,6 @@ class MetricsRegistry:
             "metrics": self.snapshot(),
         }
 
-    def merge_snapshot(self, snapshot: Dict[str, dict]) -> None:
-        """Fold a snapshot (e.g. from a worker process) into this registry.
-
-        Counters add, gauges last-write-wins, histograms merge buckets —
-        so a parallel suite run aggregates to the same totals a serial
-        one accumulates directly.
-        """
-        for name, snap in snapshot.items():
-            cls = _KINDS.get(snap.get("type"))
-            if cls is None:
-                continue
-            self._get(name, cls).merge(snap)
-
 
 class _HotMetrics:
     """Pre-registered hot-path instruments behind one ``enabled`` flag.
@@ -257,22 +210,10 @@ class _HotMetrics:
         self.sched_reconverged = registry.counter("scheduler.reconvergences")
         self.sched_barrier_releases = registry.counter("scheduler.barrier_releases")
         self.sched_occupancy = registry.histogram("scheduler.ready_warps")
-        # Event bus.
-        self.bus_publish_seconds = registry.histogram("bus.publish_seconds")
         # Replay engine.
         self.replay_events = registry.counter("replay.events")
-        # Suite runner / parallel executor.
+        # Suite runner.
         self.runner_cells = registry.counter("runner.cells")
-        self.parallel_cells = registry.counter("parallel.cells_completed")
-        self.parallel_cell_seconds = registry.histogram("parallel.cell_seconds")
-        self.parallel_soft_timeouts = registry.counter("parallel.soft_timeouts")
-        self.parallel_hard_timeouts = registry.counter("parallel.hard_timeouts")
-        self.parallel_retries = registry.counter("parallel.retries")
-        self.parallel_worker_crashes = registry.counter("parallel.worker_crashes")
-        # Chaos / fault injection (repro.faults).
-        self.chaos_injected = registry.counter("chaos.injected_faults")
-        # Checkpoint/resume journal.
-        self.checkpoint_reused = registry.counter("checkpoint.cells_reused")
         # Metadata-table pressure (graceful degradation knob).
         self.metadata_evictions = registry.counter("detector.metadata.evictions")
         # Poison-event quarantine and resource budgets (repro.faults.fuzz).

@@ -3,16 +3,14 @@
 A :class:`SpanTracer` accumulates *complete* events (``"ph": "X"``) in the
 Chrome trace-event format, which both ``chrome://tracing`` and
 https://ui.perfetto.dev load directly.  A whole suite run renders as one
-timeline: kernel launches and per-sink dispatch on the driver process,
-suite cells on each worker process, and per-warp activity of a simulated
-launch on a synthetic "simulated time" track (timestamps in scheduler
-batches rather than microseconds — the shape of the interleaving, not its
-wall-clock cost).
+timeline: kernel launches and seed cells on the wall-clock track, and
+per-warp activity of a simulated launch on a synthetic "simulated time"
+track (timestamps in scheduler batches rather than microseconds — the
+shape of the interleaving, not its wall-clock cost).
 
-Timestamps are wall-anchored: each process computes ``time.time() -
+Timestamps are wall-anchored: the process computes ``time.time() -
 perf_counter()`` once at import and reports ``perf_counter``-resolution
-microseconds on that epoch base, so spans recorded in forked worker
-processes line up with the parent's on one timeline.
+microseconds on that epoch base.
 
 Disabled (the default), the tracer costs one attribute test per guarded
 call site — hot paths never create spans at all (per-event spans would
@@ -140,17 +138,6 @@ class SpanTracer:
             self.name_process(pid, name)
         return pid
 
-    # -- worker hand-off ------------------------------------------------
-
-    def drain(self) -> List[dict]:
-        """Remove and return all recorded events (worker → parent hand-off)."""
-        events, self.events = self.events, []
-        return events
-
-    def absorb(self, events: List[dict]) -> None:
-        """Append events drained from another tracer (a worker process)."""
-        self.events.extend(events)
-
     # -- export ---------------------------------------------------------
 
     def to_document(self) -> dict:
@@ -167,8 +154,7 @@ class SpanTracer:
             handle.write("\n")
 
 
-#: The process-wide tracer.  ``IGUARD_TRACE=1`` enables it at import so
-#: forked/spawned workers inherit the setting.
+#: The process-wide tracer.  ``IGUARD_TRACE=1`` enables it at import.
 TRACER = SpanTracer(
     enabled=os.environ.get("IGUARD_TRACE", "") not in ("", "0", "false")
 )

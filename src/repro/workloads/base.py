@@ -74,7 +74,7 @@ class WorkloadResult:
 
     workload: str
     detector: str
-    status: str  # "ok" | "unsupported" | "timeout" | "oom" | "partial"
+    status: str  # "ok" | "unsupported" | "timeout" | "oom"
     races: int = 0
     race_types: FrozenSet[str] = frozenset()
     race_sites: Tuple = ()
@@ -83,10 +83,6 @@ class WorkloadResult:
     total_time: float = 0.0
     breakdown: dict = field(default_factory=dict)
     detail: str = ""
-    #: Cells lost to worker crashes / exhausted retries (status "partial"):
-    #: human-readable labels, so a degraded suite run still reports what
-    #: it *did* finish instead of dying report-less.
-    failed_cells: Tuple = ()
 
     @property
     def ran(self) -> bool:

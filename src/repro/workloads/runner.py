@@ -12,30 +12,21 @@ device, optionally with a detector attached, and returns a
   "did not terminate"), and ``oom`` (the 50% buffer reservation);
 - overheads come from the run's timing breakdown (averaged over seeds).
 
-Execution and merging are separate stages: each (workload, detector,
-seed) cell runs independently (:func:`_run_one_seed` → a picklable
-:class:`SeedOutcome`) and :func:`_merge_outcomes` folds the outcomes into
-one result with the exact semantics the old serial loop had.  That split
-is what lets ``workers > 1`` fan cells out over processes
-(:func:`repro.engine.parallel.parallel_map`) and still merge
-deterministically — same seeds, same sites, same timing, any worker
-count.
+Seeds run serially, in order: each (workload, detector, seed) cell runs
+on a fresh device (:func:`_run_one_seed` → a :class:`SeedOutcome`) and
+:func:`_merge_outcomes` folds the outcomes into one result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional
 
-from repro.engine import checkpoint as ckpt
-from repro.engine.parallel import parallel_map
 from repro.errors import (
     DeadlockError,
     OutOfMemoryError,
-    RetryExhaustedError,
     TimeoutError_,
     UnsupportedFeatureError,
-    WorkerCrashError,
 )
 from repro.gpu.arch import GPUConfig
 from repro.gpu.device import Device
@@ -67,10 +58,8 @@ def detector_name(tool_factory: ToolFactory) -> str:
 class SeedOutcome:
     """What one (workload, detector, seed) cell produced.
 
-    A plain picklable record, so cells can execute in worker processes
-    and be merged by the parent.  ``overhead`` is None when the device
-    completed no kernel runs (the seed failed before any launch
-    finished).
+    ``overhead`` is None when the device completed no kernel runs (the
+    seed failed before any launch finished).
     """
 
     status: str = "ok"
@@ -80,28 +69,6 @@ class SeedOutcome:
     native_time: float = 0.0
     total_time: float = 0.0
     breakdown: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class _SeedTask:
-    """One executable cell of a suite: picklable worker-process input."""
-
-    workload: Workload
-    tool_factory: ToolFactory
-    config: GPUConfig
-    seed: int
-
-    def __str__(self) -> str:
-        """Readable cell label for stall warnings and trace span names."""
-        return (
-            f"{self.workload.name}:{detector_name(self.tool_factory)}"
-            f":s{self.seed}"
-        )
-
-
-def _run_seed_task(task: _SeedTask) -> SeedOutcome:
-    """Module-level trampoline so Pool.map can pickle the callable."""
-    return _run_one_seed(task.workload, task.tool_factory, task.config, task.seed)
 
 
 def _run_one_seed(
@@ -167,20 +134,16 @@ def _merge_outcomes(
 ) -> WorkloadResult:
     """Fold per-seed outcomes into one result, in seed order.
 
-    Semantics match the historical serial loop exactly: ``unsupported``
-    and ``oom`` abort immediately and discard earlier seeds; ``timeout``
-    keeps that seed's races/timing and stops consuming further seeds
-    (with a lazy iterable, later seeds are never even executed); a
-    deadlock only annotates ``detail``.  ``failed`` outcomes (cells lost
-    to worker crashes / exhausted retries) are collected into
-    ``failed_cells`` and the merged status degrades to ``partial``.
+    ``unsupported`` and ``oom`` abort immediately and discard earlier
+    seeds; ``timeout`` keeps that seed's races/timing and stops consuming
+    further seeds (with a lazy iterable, later seeds never run); a
+    deadlock only annotates ``detail``.
     """
     sites: Dict[str, str] = {}
     overheads: List[float] = []
     native_times: List[float] = []
     total_times: List[float] = []
     breakdown: dict = {}
-    failed: List[str] = []
     status, detail = "ok", ""
 
     for outcome in outcomes:
@@ -191,11 +154,6 @@ def _merge_outcomes(
                 status=outcome.status,
                 detail=outcome.detail,
             )
-        if outcome.status == "failed":
-            # A crashed/retry-exhausted cell: keep merging the seeds that
-            # did complete and surface the loss as a partial result.
-            failed.append(outcome.detail)
-            continue
         if outcome.detail:
             detail = outcome.detail
         if outcome.status == "timeout":
@@ -209,8 +167,6 @@ def _merge_outcomes(
         if status == "timeout":
             break
 
-    if failed and status == "ok":
-        status = "partial"
     return WorkloadResult(
         workload=workload_name,
         detector=detector,
@@ -223,7 +179,6 @@ def _merge_outcomes(
         total_time=sum(total_times) / len(total_times) if total_times else 0.0,
         breakdown=breakdown,
         detail=detail,
-        failed_cells=tuple(failed),
     )
 
 
@@ -236,197 +191,42 @@ def _unsupported_binary(workload: Workload, detector: str) -> WorkloadResult:
     )
 
 
-def _run_tasks(
-    tasks: List[_SeedTask],
-    workers: int,
-    journal: Optional[ckpt.CellJournal],
-    cell_timeout: Optional[float],
-) -> List[SeedOutcome]:
-    """Execute seed cells in parallel, serving/recording the journal.
-
-    Journaled cells never reach a worker; missing cells are fanned out
-    and recorded durably as each completes, so an interrupted run resumes
-    from exactly the cells it finished.
-    """
-    keys = [
-        ckpt.cell_key(
-            t.workload.name, detector_name(t.tool_factory), t.seed, t.config
-        )
-        for t in tasks
-    ]
-    outcomes: List[Optional[SeedOutcome]] = [None] * len(tasks)
-    submit: List[int] = []
-    for index, key in enumerate(keys):
-        if journal is not None and key in journal:
-            outcomes[index] = ckpt.decode_outcome(journal.get(key))
-        else:
-            submit.append(index)
-
-    def _journal_result(position: int, outcome: SeedOutcome) -> None:
-        if journal is not None:
-            journal.record(keys[submit[position]], ckpt.encode_outcome(outcome))
-
-    try:
-        fresh = parallel_map(
-            _run_seed_task,
-            [tasks[i] for i in submit],
-            workers,
-            hard_timeout=cell_timeout,
-            on_result=_journal_result,
-        )
-    except (RetryExhaustedError, WorkerCrashError) as exc:
-        # Degrade, don't die: cells that completed before the failure
-        # stand (already journaled), the missing ones become "failed"
-        # outcomes the merge surfaces as a partial result with a
-        # failed_cells block.
-        partial = getattr(exc, "partial_results", {})
-        fresh = [partial.get(position) for position in range(len(submit))]
-        for position, outcome in enumerate(fresh):
-            if outcome is None:
-                fresh[position] = SeedOutcome(
-                    status="failed",
-                    detail=f"{tasks[submit[position]]}: {exc}",
-                )
-    for position, outcome in zip(submit, fresh):
-        outcomes[position] = outcome
-    return outcomes
-
-
-def _lazy_outcomes(
-    workload: Workload,
-    tool_factory: ToolFactory,
-    config: GPUConfig,
-    seeds,
-    journal: Optional[ckpt.CellJournal],
-) -> Iterable[SeedOutcome]:
-    """Serial seed outcomes, lazily, served from/recorded to the journal.
-
-    Lazy matters: a timeout at seed k stops later seeds from ever
-    running, exactly as the historical loop's ``break`` did — a resumed
-    run therefore re-derives the identical early stop.
-    """
-    detector = detector_name(tool_factory)
-    for seed in seeds:
-        key = ckpt.cell_key(workload.name, detector, seed, config)
-        if journal is not None and key in journal:
-            yield ckpt.decode_outcome(journal.get(key))
-            continue
-        outcome = _run_one_seed(workload, tool_factory, config, seed)
-        if journal is not None:
-            journal.record(key, ckpt.encode_outcome(outcome))
-        yield outcome
-
-
 def run_workload(
     workload: Workload,
     tool_factory: ToolFactory = None,
     config: GPUConfig = SIM_GPU,
     seeds=None,
-    workers: int = 1,
-    cell_timeout: Optional[float] = None,
-    journal: Optional[ckpt.CellJournal] = None,
 ) -> WorkloadResult:
     """Execute ``workload`` under a detector built by ``tool_factory``.
 
     ``tool_factory`` of None runs natively (no detection).  Each seed gets
     a fresh device and a fresh tool; race sites are unioned across seeds
-    and timing is averaged.  With ``workers > 1`` the seeds run in
-    parallel processes; the merged result is identical to the serial one.
-    ``cell_timeout`` kills and retries stuck seed cells (parallel path);
-    ``journal`` (default: the ambient :func:`repro.engine.checkpoint`
-    journal) records completed cells for crash-safe ``--resume``.
+    and timing is averaged.
     """
     seeds = tuple(seeds) if seeds is not None else workload.seeds
     name = detector_name(tool_factory)
-    if journal is None:
-        journal = ckpt.active_journal()
 
     # Barracuda executes PTX embedded in the binary; real-world multi-file
     # libraries defeat that, so it cannot run them at all (section 7.1).
     if workload.complex_binary and name in ("Barracuda", "CURD"):
         return _unsupported_binary(workload, name)
-
-    if workers > 1 and len(seeds) > 1:
-        tasks = [
-            _SeedTask(workload, tool_factory, config, seed) for seed in seeds
-        ]
-        outcomes: Iterable[SeedOutcome] = _run_tasks(
-            tasks, workers, journal, cell_timeout
-        )
-    else:
-        outcomes = _lazy_outcomes(
-            workload, tool_factory, config, seeds, journal
-        )
+    # Lazy: a timeout at seed k stops the merge, so later seeds never run.
+    outcomes = (
+        _run_one_seed(workload, tool_factory, config, seed) for seed in seeds
+    )
     return _merge_outcomes(workload.name, name, outcomes)
 
 
-def run_suite(
-    requests,
-    workers: int = 1,
-    config: GPUConfig = SIM_GPU,
-    cell_timeout: Optional[float] = None,
-    journal: Optional[ckpt.CellJournal] = None,
-) -> List[WorkloadResult]:
-    """Run many (workload, tool_factory, seeds) cells, optionally parallel.
+def run_suite(requests, config: GPUConfig = SIM_GPU) -> List[WorkloadResult]:
+    """Run many (workload, tool_factory, seeds) cells, in request order.
 
     ``requests`` is a sequence of ``(workload, tool_factory, seeds)``
-    tuples (``seeds`` of None means the workload's pinned seeds).  Results
-    come back in request order.  With ``workers > 1``, *all* requests'
-    seed cells are flattened into one task list and fanned out together,
-    so parallelism crosses request boundaries — the useful shape for the
-    experiment drivers, whose cells are many small independent runs.
-
-    ``journal`` (default: the ambient :mod:`repro.engine.checkpoint`
-    journal armed by ``--checkpoint``) serves completed cells from disk
-    and records fresh ones, making interrupted suite runs resumable with
-    byte-identical merged results.
+    tuples (``seeds`` of None means the workload's pinned seeds).
     """
-    expanded = [
-        (
-            workload,
-            tool_factory,
-            tuple(seeds) if seeds is not None else workload.seeds,
-        )
+    return [
+        run_workload(workload, tool_factory, config=config, seeds=seeds)
         for workload, tool_factory, seeds in requests
     ]
-    if journal is None:
-        journal = ckpt.active_journal()
-    if workers <= 1:
-        return [
-            run_workload(
-                workload, tool_factory, config=config, seeds=seeds,
-                cell_timeout=cell_timeout, journal=journal,
-            )
-            for workload, tool_factory, seeds in expanded
-        ]
-
-    tasks: List[_SeedTask] = []
-    plan: List[Tuple] = []
-    for workload, tool_factory, seeds in expanded:
-        name = detector_name(tool_factory)
-        if workload.complex_binary and name in ("Barracuda", "CURD"):
-            plan.append(("done", _unsupported_binary(workload, name)))
-            continue
-        start = len(tasks)
-        tasks.extend(
-            _SeedTask(workload, tool_factory, config, seed) for seed in seeds
-        )
-        plan.append(("merge", workload.name, name, start, len(seeds)))
-
-    outcomes = _run_tasks(tasks, workers, journal, cell_timeout)
-
-    results: List[WorkloadResult] = []
-    for entry in plan:
-        if entry[0] == "done":
-            results.append(entry[1])
-        else:
-            _, workload_name, name, start, count = entry
-            results.append(
-                _merge_outcomes(
-                    workload_name, name, outcomes[start : start + count]
-                )
-            )
-    return results
 
 
 def _sum_breakdowns(device: Device) -> dict:
@@ -458,8 +258,8 @@ def main(argv=None) -> int:
     """``python -m repro.workloads.runner``: one (workload, detector) cell.
 
     The smallest entry point that exercises the whole pipeline — device,
-    scheduler, bus, detector, parallel fan-out — which makes it the CI
-    anchor for ``--metrics-out``/``--trace-out`` artifact validation.
+    scheduler, bus, detector — which makes it the CI anchor for
+    ``--metrics-out``/``--trace-out`` artifact validation.
     """
     import argparse
 
@@ -483,10 +283,6 @@ def main(argv=None) -> int:
         choices=["iguard", "barracuda", "scord", "curd", "fasttrack", "native"],
     )
     parser.add_argument(
-        "--workers", type=int, default=1,
-        help="fan seed cells out over N worker processes",
-    )
-    parser.add_argument(
         "--report-json", default=None, metavar="PATH",
         help="write the merged result (status, sites, timing) as "
              "canonical JSON to PATH",
@@ -495,24 +291,8 @@ def main(argv=None) -> int:
         "--seeds", default=None, metavar="S1,S2",
         help="scheduler seeds (default: the workload's pinned seeds)",
     )
-    parser.add_argument(
-        "--cell-timeout", type=float, default=None, metavar="SEC",
-        help="hard per-cell timeout: kill and retry a seed cell running "
-             "longer than SEC seconds (default: IGUARD_CELL_TIMEOUT or none)",
-    )
-    parser.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help="journal completed cells to PATH for crash-safe --resume",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="serve cells already journaled in --checkpoint instead of "
-             "re-running them (byte-identical merged results)",
-    )
     add_observability_args(parser)
     args = parser.parse_args(argv)
-    if args.resume and not args.checkpoint:
-        parser.error("--resume requires --checkpoint")
     begin_observability(args)
     logger = get_logger("runner")
 
@@ -533,18 +313,8 @@ def main(argv=None) -> int:
     seeds = (
         tuple(int(s) for s in args.seeds.split(",")) if args.seeds else None
     )
-    journal = (
-        ckpt.CellJournal(args.checkpoint, resume=args.resume)
-        if args.checkpoint
-        else None
-    )
-    log_run_config(
-        backend=args.detector, workers=args.workers, logger=logger
-    )
-    result = run_workload(
-        workload, factory, seeds=seeds, workers=args.workers,
-        cell_timeout=args.cell_timeout, journal=journal,
-    )
+    log_run_config(backend=args.detector, logger=logger)
+    result = run_workload(workload, factory, seeds=seeds)
     output(
         f"{result.workload} under {result.detector}: "
         f"status={result.status} races={result.races} "
@@ -554,8 +324,6 @@ def main(argv=None) -> int:
         output(f"  [{race_type}] {ip}")
     if result.detail:
         logger.info("detail: %s", result.detail)
-    for cell in result.failed_cells:
-        logger.error("failed cell: %s", cell)
     from repro.faults import quarantine
 
     quarantine_block = quarantine.report_block()
@@ -579,18 +347,13 @@ def main(argv=None) -> int:
             "breakdown": dict(sorted(result.breakdown.items())),
             "detail": result.detail,
         }
-        if result.failed_cells:
-            payload["failed_cells"] = list(result.failed_cells)
         if quarantine_block is not None:
             payload["quarantine"] = quarantine_block
         with open(args.report_json, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
     finalize_observability(args)
-    # Exit 3 is the "partial report emitted" code: some cells were lost
-    # to crashes/retry exhaustion but the merged report above is valid
-    # for everything that completed.
-    return 3 if result.failed_cells else 0
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
-"""The chaos harness: mutators, recall gate, chaos spec, checkpointing,
-trace salvage, and graceful degradation under metadata pressure."""
+"""Fault injection: mutators, the recall gate, trace salvage, and
+graceful degradation under metadata pressure."""
 
 import gzip
 import json
@@ -9,10 +9,8 @@ import pytest
 
 from repro.core import IGuard
 from repro.core.config import IGuardConfig
-from repro.engine import checkpoint as ckpt
 from repro.engine.trace import Trace, TraceSink
 from repro.errors import ConfigError, TraceCorruptionError
-from repro.faults import chaos
 from repro.faults.mutators import MutationSpec, install
 from repro.faults.recall import (
     render,
@@ -105,14 +103,6 @@ class TestRecallGate:
         dump = lambda r: json.dumps(r, indent=2, sort_keys=True)
         assert dump(first) == dump(second)
 
-    def test_parallel_matches_serial(self):
-        names = ["warp-exchange", "scoped-counter"]
-        serial = run_recall(workload_names=names, workers=1)
-        parallel = run_recall(workload_names=names, workers=2)
-        assert json.dumps(serial, sort_keys=True) == json.dumps(
-            parallel, sort_keys=True
-        )
-
     def test_select_mutations_is_seeded_subset(self):
         pattern = get_pattern("ff-pipeline")
         subset = select_mutations(pattern, 1, seed=7)
@@ -125,132 +115,6 @@ class TestRecallGate:
         report = run_recall(workload_names=["warp-exchange"])
         text = render(report)
         assert "skip-syncwarp" in text and "detected" in text
-
-    def test_journal_resume_byte_identical(self, tmp_path):
-        path = tmp_path / "recall.journal"
-        names = ["ff-pipeline"]
-        baseline = run_recall(workload_names=names)
-        journal = ckpt.CellJournal(path)
-        first = run_recall(workload_names=names, journal=journal)
-        assert json.dumps(first, sort_keys=True) == json.dumps(
-            baseline, sort_keys=True
-        )
-        resumed_journal = ckpt.CellJournal(path, resume=True)
-        resumed = run_recall(workload_names=names, journal=resumed_journal)
-        assert json.dumps(resumed, sort_keys=True) == json.dumps(
-            baseline, sort_keys=True
-        )
-        # Every cell came from the journal, none re-executed.
-        assert resumed_journal.resumed_cells == len(resumed_journal)
-
-
-class TestChaosSpec:
-    def test_parse_round_trip(self):
-        spec = chaos.ChaosSpec.parse("crash=0.3,hang=0.2,seed=11,hang_s=120")
-        assert spec.crash == 0.3 and spec.hang == 0.2
-        assert spec.seed == 11 and spec.hang_s == 120.0
-        assert spec.times == 1
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ConfigError):
-            chaos.ChaosSpec.parse("crash")
-        with pytest.raises(ConfigError):
-            chaos.ChaosSpec.parse("warp=0.5")
-        with pytest.raises(ConfigError):
-            chaos.ChaosSpec.parse("crash=lots")
-
-    def test_fault_decisions_are_deterministic(self):
-        spec = chaos.ChaosSpec.parse("crash=0.5,flake=0.3,seed=9")
-        decisions = [spec.fault_for(f"cell-{i}", 1) for i in range(64)]
-        assert decisions == [
-            spec.fault_for(f"cell-{i}", 1) for i in range(64)
-        ]
-        assert "crash" in decisions and "flake" in decisions
-
-    def test_faults_stop_after_times_attempts(self):
-        spec = chaos.ChaosSpec.parse("crash=1.0,seed=1,times=2")
-        assert spec.fault_for("cell", 1) == "crash"
-        assert spec.fault_for("cell", 2) == "crash"
-        assert spec.fault_for("cell", 3) is None
-
-    def test_active_spec_reads_environment(self, monkeypatch):
-        monkeypatch.delenv(chaos.ENV_VAR, raising=False)
-        assert chaos.active_spec() is None
-        monkeypatch.setenv(chaos.ENV_VAR, "flake=1.0,seed=2")
-        spec = chaos.active_spec()
-        assert spec is not None and spec.flake == 1.0
-
-    def test_maybe_inject_flake_raises(self, monkeypatch):
-        monkeypatch.setenv(chaos.ENV_VAR, "flake=1.0,seed=2")
-        with pytest.raises(chaos.ChaosFault):
-            chaos.maybe_inject("some-cell", 1)
-        # Past the fault budget the same cell passes clean.
-        chaos.maybe_inject("some-cell", 2)
-
-
-class TestCheckpoint:
-    def test_outcome_codec_round_trip(self):
-        from repro.workloads.runner import _run_one_seed
-
-        workload = get_workload("1dconv")
-        outcome = _run_one_seed(workload, IGuard, SIM_GPU, 1)
-        encoded = json.loads(json.dumps(ckpt.encode_outcome(outcome)))
-        assert ckpt.decode_outcome(encoded) == outcome
-
-    def test_journal_survives_partial_trailing_line(self, tmp_path):
-        path = tmp_path / "cells.journal"
-        journal = ckpt.CellJournal(path)
-        journal.record("a", {"v": 1})
-        journal.record("b", {"v": 2})
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"k": "c", "o"')  # crash mid-append
-        resumed = ckpt.CellJournal(path, resume=True)
-        assert "a" in resumed and "b" in resumed and "c" not in resumed
-        assert resumed.get("a") == {"v": 1}
-
-    def test_fresh_journal_truncates_stale_file(self, tmp_path):
-        path = tmp_path / "cells.journal"
-        ckpt.CellJournal(path).record("old", {"v": 0})
-        fresh = ckpt.CellJournal(path)  # resume=False
-        assert len(fresh) == 0
-        assert "old" not in ckpt.CellJournal(path, resume=True)
-
-    def test_record_is_idempotent(self, tmp_path):
-        path = tmp_path / "cells.journal"
-        journal = ckpt.CellJournal(path)
-        journal.record("k", {"v": 1})
-        journal.record("k", {"v": 2})  # raced duplicate: first wins
-        resumed = ckpt.CellJournal(path, resume=True)
-        assert resumed.get("k") == {"v": 1}
-
-    def test_cell_key_embeds_config_fingerprint(self):
-        key = ckpt.cell_key("wl", "iguard", 3, SIM_GPU)
-        assert key.startswith("wl|iguard|s3|")
-        other = ckpt.cell_key("wl", "iguard", 3, IGuardConfig())
-        assert key != other
-
-    def test_run_workload_resume_byte_identical(self, tmp_path):
-        path = tmp_path / "wl.journal"
-        workload = get_workload("b_scan")
-        baseline = run_workload(workload, IGuard, seeds=(1, 2))
-        journal = ckpt.CellJournal(path)
-        first = run_workload(workload, IGuard, seeds=(1, 2), journal=journal)
-        assert first == baseline
-        resumed_journal = ckpt.CellJournal(path, resume=True)
-        resumed = run_workload(
-            workload, IGuard, seeds=(1, 2), journal=resumed_journal
-        )
-        assert resumed == baseline
-        assert resumed_journal.resumed_cells == 2
-
-    def test_ambient_journal_set_and_clear(self, tmp_path):
-        journal = ckpt.CellJournal(tmp_path / "ambient.journal")
-        try:
-            ckpt.set_active(journal)
-            assert ckpt.active_journal() is journal
-        finally:
-            ckpt.set_active(None)
-        assert ckpt.active_journal() is None
 
 
 def _record_pattern_trace(tmp_path, suffix=""):

@@ -10,16 +10,12 @@ Pins the four planks of the hardening PR:
   replay and a front-end feed with precomputed granules);
 - the ddmin minimizer and the differential fuzzer are deterministic and
   the shipped triage corpus replays clean;
-- the suite executor degrades to a partial merged report (distinct exit
-  code, ``failed_cells`` block) instead of dying when a cell exhausts
-  its retries, and ``--resume`` after a mid-run kill reproduces the
-  uninterrupted report byte for byte across parallel workers.
+- torn gzip and ``.ctr.gz`` containers are corruption, never a crash.
 """
 
 import base64
 import gzip
 import json
-import os
 from dataclasses import replace
 
 import pytest
@@ -36,11 +32,7 @@ from repro.core.config import DEFAULT_CONFIG
 from repro.core.detector import IGuard
 from repro.engine.replay import ReplayDevice, capture_workload, replay
 from repro.engine.trace import Trace
-from repro.errors import (
-    RetryExhaustedError,
-    TraceCorruptionError,
-    WorkerCrashError,
-)
+from repro.errors import TraceCorruptionError
 from repro.faults import quarantine
 from repro.faults.ddmin import ddmin
 from repro.faults.fuzz import (
@@ -541,164 +533,8 @@ class TestCorpus:
 
 
 # ---------------------------------------------------------------------------
-# Partial merged reports (suite executor degradation)
+# Gzip salvage regressions
 # ---------------------------------------------------------------------------
-
-
-def _crash_on_three(item):
-    if item == 3:
-        os._exit(17)
-    return item * 10
-
-
-class TestPartialReport:
-    def test_supervisor_attaches_partial_results(self):
-        from repro.engine.parallel import parallel_map
-
-        with pytest.raises((RetryExhaustedError, WorkerCrashError)) as info:
-            parallel_map(
-                _crash_on_three,
-                [0, 1, 2, 3],
-                workers=2,
-                max_retries=1,
-                backoff_base=0.01,
-            )
-        exc = info.value
-        assert exc.total_items == 4
-        for position, value in exc.partial_results.items():
-            assert value == position * 10
-
-    def test_runner_degrades_to_partial(self, monkeypatch):
-        from repro.workloads import runner as runner_module
-
-        real_task = runner_module._run_seed_task
-
-        def exploding_map(fn, items, workers, **kwargs):
-            exc = RetryExhaustedError("cell", 3, "injected")
-            # The first cell completed before the executor gave up.
-            exc.partial_results = {0: real_task(items[0])}
-            exc.total_items = len(items)
-            raise exc
-
-        monkeypatch.setattr(runner_module, "parallel_map", exploding_map)
-        result = runner_module.run_workload(
-            get_workload("1dconv"),
-            IGuard,
-            seeds=(1, 2),
-            workers=2,
-        )
-        assert result.status == "partial"
-        assert len(result.failed_cells) == 1
-        assert "injected" in result.failed_cells[0]
-        assert result.races >= 0  # surviving cell still merged
-
-    def test_cli_exit_code_and_report_block(self, monkeypatch, tmp_path):
-        from repro.workloads import runner as runner_module
-
-        real_task = runner_module._run_seed_task
-
-        def exploding_map(fn, items, workers, **kwargs):
-            exc = RetryExhaustedError("cell", 3, "injected")
-            exc.partial_results = {0: real_task(items[0])}
-            exc.total_items = len(items)
-            raise exc
-
-        monkeypatch.setattr(runner_module, "parallel_map", exploding_map)
-        report = tmp_path / "report.json"
-        rc = runner_module.main(
-            [
-                "--workload", "1dconv",
-                "--workers", "2",
-                "--report-json", str(report),
-            ]
-        )
-        assert rc == 3
-        payload = json.loads(report.read_text())
-        assert payload["status"] == "partial"
-        assert payload["failed_cells"]
-
-
-# ---------------------------------------------------------------------------
-# Resume after a mid-run kill across parallel workers
-# ---------------------------------------------------------------------------
-
-
-class TestResumeAfterKill:
-    def test_resume_reproduces_uninterrupted_report(self, tmp_path):
-        from repro.workloads import runner as runner_module
-
-        base = tmp_path / "base.json"
-        rc = runner_module.main(
-            [
-                "--workload", "1dconv",
-                "--workers", "2",
-                "--report-json", str(base),
-            ]
-        )
-        assert rc == 0
-
-        journal = tmp_path / "cells.journal"
-        full = tmp_path / "full.json"
-        rc = runner_module.main(
-            [
-                "--workload", "1dconv",
-                "--workers", "2",
-                "--checkpoint", str(journal),
-                "--report-json", str(full),
-            ]
-        )
-        assert rc == 0
-        assert full.read_bytes() == base.read_bytes()
-
-        # Simulate a mid-run kill: keep the first journaled cell and a
-        # torn half-written second line, then resume.
-        lines = journal.read_bytes().split(b"\n")
-        assert len([l for l in lines if l]) >= 3
-        journal.write_bytes(lines[0] + b"\n" + lines[1][: len(lines[1]) // 2])
-        resumed = tmp_path / "resumed.json"
-        rc = runner_module.main(
-            [
-                "--workload", "1dconv",
-                "--workers", "2",
-                "--checkpoint", str(journal),
-                "--resume",
-                "--report-json", str(resumed),
-            ]
-        )
-        assert rc == 0
-        assert resumed.read_bytes() == base.read_bytes()
-
-
-# ---------------------------------------------------------------------------
-# Watchdog rule and gzip salvage regressions
-# ---------------------------------------------------------------------------
-
-
-class _SampleStub:
-    counters = {}
-    interval = 1.0
-
-
-class TestWatchdogQuarantineRule:
-    def test_fires_on_absorbed_events(self):
-        from repro.obs.watchdog import Watchdog, WatchdogConfig
-
-        wd = Watchdog(WatchdogConfig())
-        fired = wd.observe(
-            _SampleStub(),
-            [],
-            {"quarantine.events": {"value": 2}},
-            now=100.0,
-        )
-        rules = [f.rule for f in fired]
-        assert "event_quarantine" in rules
-
-    def test_silent_when_clean(self):
-        from repro.obs.watchdog import Watchdog, WatchdogConfig
-
-        wd = Watchdog(WatchdogConfig())
-        fired = wd.observe(_SampleStub(), [], {}, now=100.0)
-        assert [f.rule for f in fired] == []
 
 
 class TestGzipSalvage:

@@ -7,12 +7,18 @@ Bloom lock summaries got wrong (filters intersect, true lock sets
 disjoint).  These totals are pinned here for four racy registry
 workloads, one race-free stencil, and a small kernel whose per-block
 locks alias in the Bloom filter, so any change to the check path that
-moves an access between tiers shows up as a counter difference.
+moves an access between tiers shows up as a counter difference.  The
+detector folds the first three from its per-launch statistics, so a
+columnar replay of ``reduction`` must reach the same totals as the live
+run.
 """
 
 import pytest
 
 from repro.core import IGuard
+from repro.core.sharding import replay_columnar_sharded
+from repro.engine.coltrace import save_columnar
+from repro.engine.replay import capture_workload
 from repro.obs import metrics
 from repro.workloads import get_workload, run_workload
 from repro.gpu.instructions import load, store
@@ -61,6 +67,14 @@ def _totals(registry):
 def test_registry_workload_counters(registry, name):
     run_workload(get_workload(name), lambda: IGuard())
     assert _totals(registry) == PINNED[name]
+
+
+def test_columnar_replay_counters(registry, tmp_path):
+    path = tmp_path / "reduction.ctr"
+    save_columnar(capture_workload(get_workload("reduction")), path)
+    registry.reset()
+    replay_columnar_sharded(str(path))
+    assert _totals(registry) == PINNED["reduction"]
 
 
 def _aliased_locks(ctx, data, locks, turn):

@@ -1,14 +1,30 @@
 """Tests for the workload runner, report rendering, and the CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core import IGuard
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.cli import main as cli_main
 from repro.experiments.reporting import fmt_overhead, render_table, title
-from repro.workloads import get_workload, run_workload
+from repro.workloads import get_workload, run_suite, run_workload
 from repro.workloads.base import Workload
-from repro.workloads.runner import measured_overhead
+from repro.workloads.runner import detector_name, measured_overhead
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _python(code_or_args, **env):
+    """Run a fresh interpreter on ``src`` with extra environment."""
+    environ = dict(os.environ, PYTHONPATH=SRC, **env)
+    return subprocess.run(
+        [sys.executable, *code_or_args],
+        capture_output=True, text=True, env=environ, timeout=300,
+    )
 
 
 class TestRunner:
@@ -50,6 +66,44 @@ class TestRunner:
         assert get_workload("uts").has_races
         assert not get_workload("b_scan").has_races
 
+    def test_run_suite_matches_run_workload(self):
+        requests = [
+            (get_workload("b_scan"), IGuard, None),
+            (get_workload("1dconv"), IGuard, None),
+            (get_workload("b_reduce"), None, (1,)),
+        ]
+        results = run_suite(requests)
+        assert results == [
+            run_workload(workload, factory, seeds=seeds)
+            for workload, factory, seeds in requests
+        ]
+        assert [r.workload for r in results] == ["b_scan", "1dconv", "b_reduce"]
+
+    def test_run_suite_complex_binary_precheck(self):
+        from repro.baselines import Barracuda
+
+        workload = get_workload("louvain")
+        assert workload.complex_binary
+        result, = run_suite([(workload, Barracuda, None)])
+        assert result.status == "unsupported"
+
+
+class TestDetectorName:
+    def test_class_factory_is_not_instantiated(self):
+        class Exploding(IGuard):
+            name = "exploding"
+
+            def __init__(self):
+                raise AssertionError("factory must not be called for a name")
+
+        assert detector_name(Exploding) == "exploding"
+
+    def test_opaque_callable_falls_back(self):
+        assert detector_name(lambda: IGuard()) == IGuard.name
+
+    def test_none_is_native(self):
+        assert detector_name(None) == "native"
+
 
 class TestReporting:
     def test_render_table_alignment(self):
@@ -87,8 +141,49 @@ class TestCLI:
         with pytest.raises(SystemExit):
             cli_main(["nonsense"])
 
+    def test_profile_is_a_switch(self, capsys):
+        # ``--profile`` takes no value, so the experiment name after it
+        # stays an experiment name.
+        assert cli_main(["--profile", "table1"]) == 0
+        out = capsys.readouterr().out
+        assert "--- cProfile: table1 (top 25) ---" in out
+        assert "[table1 completed" in out
+
     def test_modules_have_run_and_render(self):
         for module in ALL_EXPERIMENTS.values():
             assert callable(module.run)
             assert callable(module.render)
             assert callable(module.main)
+
+
+class TestEntryPoints:
+    @pytest.mark.parametrize("argv", [
+        ["-m", "repro.workloads.runner", "--workload", "reduction"],
+        ["-m", "repro.experiments.cli", "motivation"],
+        ["-m", "repro.experiments.cli", "lint", "reduction"],
+        ["-m", "repro.experiments.table1"],
+        ["-m", "repro.faults.recall", "--workloads", "warp-exchange"],
+    ])
+    def test_bad_log_level_exits_2_with_one_line(self, argv):
+        done = _python(argv, IGUARD_LOG="verbose")
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        # ``python -m`` on a package submodule may add runpy's harmless
+        # RuntimeWarning line; the entry point itself writes one line.
+        lines = [
+            line for line in done.stderr.splitlines()
+            if not line.startswith("<frozen runpy>")
+        ]
+        assert len(lines) == 1, done.stderr
+        assert "IGUARD_LOG" in lines[0] and "verbose" in lines[0]
+        assert "debug, info, warn, warning, error" in lines[0]
+
+    def test_entry_points_import_no_process_or_server_machinery(self):
+        done = _python([
+            "-c",
+            "import sys, repro.experiments.cli, repro.workloads.runner; "
+            "print(sorted({'multiprocessing', 'http.server'} "
+            "& set(sys.modules)))",
+        ])
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
