@@ -120,31 +120,3 @@ def granule_facts(summary: KernelSummary) -> Dict[int, GranuleFacts]:
                 fact.changing_writer_tids.add(access.location.global_tid)
     return facts
 
-
-@dataclass
-class PhaseSummary:
-    """One barrier interval of one thread, for human-facing lint output."""
-
-    blk_interval: int
-    warp_interval: int
-    ips: List[str] = field(default_factory=list)
-
-
-def phase_partition(trace: ThreadTrace) -> List[PhaseSummary]:
-    """Split a thread's accesses at barrier boundaries, in program order."""
-    phases: List[PhaseSummary] = []
-    for access in trace.accesses:
-        if (
-            not phases
-            or phases[-1].blk_interval != access.blk_interval
-            or phases[-1].warp_interval != access.warp_interval
-        ):
-            phases.append(
-                PhaseSummary(
-                    blk_interval=access.blk_interval,
-                    warp_interval=access.warp_interval,
-                )
-            )
-        if access.ip not in phases[-1].ips:
-            phases[-1].ips.append(access.ip)
-    return phases

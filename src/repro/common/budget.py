@@ -35,8 +35,9 @@ QUARANTINE_VAR = "IGUARD_QUARANTINE"
 #: record).
 DEFAULT_QUARANTINE_LIMIT = 64
 
-#: Decoder hard ceilings, independent of any budget: one JSONL line and
-#: one columnar numpy block.  Fuzzed headers declaring terabyte blocks
+#: Decoder hard ceilings, independent of any budget: one columnar header
+#: line (the file header or a chunk header with its string-pool entries)
+#: and one columnar numpy block.  Fuzzed headers declaring terabyte blocks
 #: must die in the decoder, not in the allocator.
 MAX_LINE_BYTES = 8 << 20
 MAX_BLOCK_BYTES = 256 << 20
@@ -84,7 +85,7 @@ def quarantine_limit() -> int:
 
 
 def line_limit() -> int:
-    """Largest JSONL trace line the decoder will attempt to parse."""
+    """Largest columnar header line the decoder will attempt to parse."""
     budget = mem_budget()
     return min(MAX_LINE_BYTES, budget) if budget else MAX_LINE_BYTES
 

@@ -5,16 +5,13 @@ instead of an implicit callback side effect:
 
 - :mod:`repro.engine.bus` — the :class:`EventBus` the device publishes
   typed events into, with pluggable sinks (every existing
-  :class:`~repro.instrument.nvbit.Tool` is already sink-shaped) and the
-  :class:`ToolSink` adapter adding failure isolation + per-sink timing;
-- :mod:`repro.engine.trace` — the trace codec: capture one execution to a
-  compact JSONL (optionally gzipped) record stream;
-- :mod:`repro.engine.coltrace` — the columnar trace container (``.ctr``)
-  that replays decode chunk by chunk;
-- :mod:`repro.engine.replay` — re-drive any detector over a recorded
-  trace deterministically, without re-simulating the GPU;
-- :mod:`repro.engine.fanout` — one execution pass feeding N detectors
-  simultaneously, each with its own timing accounting.
+  :class:`~repro.instrument.nvbit.Tool` is already sink-shaped);
+- :mod:`repro.engine.trace` — the in-memory :class:`Trace` of one or more
+  executions and the :class:`TraceSink` that records it;
+- :mod:`repro.engine.coltrace` — the columnar container (``.ctr`` /
+  ``.ctr.gz``), the one on-disk trace format, decoded chunk by chunk;
+- :mod:`repro.engine.replay` — re-drive one detector over a recorded
+  trace deterministically, without re-simulating the GPU.
 
 Submodules that depend on :mod:`repro.workloads` are imported lazily to
 keep ``gpu.device -> engine.bus`` cycle-free.
@@ -22,12 +19,11 @@ keep ``gpu.device -> engine.bus`` cycle-free.
 
 from __future__ import annotations
 
-from repro.engine.bus import EventBus, ToolSink
+from repro.engine.bus import EventBus
 from repro.engine.trace import Trace, TraceSink, RunMarker
 
 __all__ = [
     "EventBus",
-    "ToolSink",
     "Trace",
     "TraceSink",
     "RunMarker",
@@ -35,7 +31,6 @@ __all__ = [
     "replay",
     "replay_workload",
     "ReplayDevice",
-    "run_workload_fanout",
 ]
 
 _LAZY = {
@@ -43,7 +38,6 @@ _LAZY = {
     "replay": "repro.engine.replay",
     "replay_workload": "repro.engine.replay",
     "ReplayDevice": "repro.engine.replay",
-    "run_workload_fanout": "repro.engine.fanout",
 }
 
 

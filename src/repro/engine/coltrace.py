@@ -1,12 +1,11 @@
 """Columnar trace container: structure-of-arrays event storage (``.ctr``).
 
-The JSONL codec (:mod:`repro.engine.trace`) spends its replay budget in
-``json.loads`` — one dict, one string scan, and a dozen key lookups per
-event.  This module stores the same typed stream as *columns*: one numpy
-array per event field, grouped by event type, so loading a chunk costs
-O(fields) numpy reads instead of O(events) JSON parses, and batch
-consumers (iGUARD's columnar replay) can compute over
-whole columns vectorized before any per-event Python object exists.
+The one on-disk trace format.  It stores the typed event stream of a
+:class:`~repro.engine.trace.Trace` as *columns*: one numpy array per
+event field, grouped by event type, so loading a chunk costs O(fields)
+numpy reads rather than a parse per event, and batch consumers (iGUARD's
+columnar replay) can compute over whole columns vectorized before any
+per-event Python object exists.
 
 File layout (``.ctr``; ``.ctr.gz`` is the same stream gzipped)::
 
@@ -27,14 +26,15 @@ that chunk, and columns reference pool indices — decoded events share one
 interned string object per distinct ip, exactly like the slotted-event
 pooling of the live pipeline.
 
-Salvage semantics match the JSONL codec's contract: a truncated or
-corrupt file raises :class:`~repro.errors.TraceCorruptionError`, and
-``salvage=True`` recovers the longest valid *chunk* prefix (columnar
-rows are interleaved across blocks, so the chunk is the recovery
-granule).  ``line`` in the error is the 1-based block ordinal (the file
-header is block 1) and ``last_good_offset`` is the uncompressed stream
-offset after the last intact chunk — the same meaning the JSONL reader
-gives gzipped inputs.
+Salvage semantics: a truncated or corrupt file raises
+:class:`~repro.errors.TraceCorruptionError`, and ``salvage=True``
+recovers the longest valid *chunk* prefix (columnar rows are interleaved
+across blocks, so the chunk is the recovery granule).  ``block`` in the
+error is the 1-based block ordinal (the file header is block 1) and
+``last_good_offset`` is the uncompressed stream offset after the last
+intact chunk.  Every decode path — whole-file reads, lazy streams and
+the columnar replay — reports corruption through :meth:`Chunk.events`
+the same way.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from repro.common.budget import (
     mem_budget,
     pool_byte_limit,
 )
+from repro.engine.trace import RunMarker
 from repro.errors import ConfigError, TraceCorruptionError
 from repro.gpu.arch import GPUConfig
 from repro.gpu.events import (
@@ -94,14 +95,17 @@ _SCOPE_BY_CODE = tuple(Scope(v) for v in sorted(int(s) for s in Scope))
 _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
 
 
-def is_columnar_path(path) -> bool:
-    """Whether ``path`` names the columnar container by extension."""
-    name = str(path)
-    return name.endswith(".ctr") or name.endswith(".ctr.gz")
-
-
 def _opener(path):
-    return gzip.open if str(path).endswith(".gz") else open
+    """The file opener for a trace path; other extensions are refused."""
+    name = str(path)
+    if name.endswith(".ctr.gz"):
+        return gzip.open
+    if name.endswith(".ctr"):
+        return open
+    raise ConfigError(
+        f"{path}: unsupported trace extension; "
+        f"trace files must end in .ctr or .ctr.gz"
+    )
 
 
 def _write_block(handle, array) -> None:
@@ -215,7 +219,12 @@ class _PoolWriter:
 
 
 def _jsonable(value):
-    """Mirror the JSONL codec's payload degradation (exotic -> ``repr``)."""
+    """Event payload values carried losslessly, else their ``repr``.
+
+    Workload kernels store Python ints (and occasionally strings); anything
+    exotic is degraded to its ``repr`` — visible in the trace rather than
+    silently dropped.
+    """
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     return repr(value)
@@ -338,16 +347,11 @@ def _write_chunk(handle, events, pool: _PoolWriter) -> None:
         elif kind is GPUConfig:
             et.append(ET_GPU)
             gpu.append(pool.add(json.dumps(asdict(event), sort_keys=True)))
+        elif kind is RunMarker:
+            et.append(ET_RUN)
+            run.append(event.seed)
         else:
-            # RunMarker lives in repro.engine.trace; late import avoids a
-            # module cycle (trace.py dispatches to this module).
-            from repro.engine.trace import RunMarker
-
-            if kind is RunMarker:
-                et.append(ET_RUN)
-                run.append(event.seed)
-            else:
-                raise TypeError(f"cannot encode trace event {event!r}")
+            raise TypeError(f"cannot encode trace event {event!r}")
 
     counts = {}
     for key, group in (
@@ -431,11 +435,14 @@ class Chunk:
     """
 
     __slots__ = (
-        "ordinal", "rows", "start_offset", "et", "groups",
+        "path", "ordinal", "rows", "start_offset", "et", "groups",
         "_pool", "_memos",
     )
 
-    def __init__(self, ordinal, rows, start_offset, et, groups, pool, memos):
+    def __init__(
+        self, path, ordinal, rows, start_offset, et, groups, pool, memos
+    ):
+        self.path = path
         self.ordinal = ordinal
         self.rows = rows
         self.start_offset = start_offset
@@ -458,7 +465,25 @@ class Chunk:
         return (group[1] >> shift).tolist()
 
     def events(self) -> list:
-        """Materialize the chunk's rows as typed event objects."""
+        """Materialize the chunk's rows as typed event objects.
+
+        Column values the header checks cannot vouch for (an out-of-range
+        code or pool index, a value payload or recorded device config
+        that does not decode) raise :class:`TraceCorruptionError` naming
+        this chunk's block ordinal and start offset.
+        """
+        try:
+            return self._events()
+        except (
+            IndexError, KeyError, ValueError, TypeError, RecursionError,
+            ConfigError,
+        ) as exc:
+            raise TraceCorruptionError(
+                self.path, self.ordinal, self.start_offset,
+                f"{type(exc).__name__}: {exc}",
+            ) from exc
+
+    def _events(self) -> list:
         pool = self._pool
         loc_memo, mask_memo, value_memo = self._memos
         out: List[object] = []
@@ -505,10 +530,6 @@ class Chunk:
         r_seed = run.tolist() if run is not None else None
         gpu = groups.get("g")
         g_json = gpu.tolist() if gpu is not None else None
-
-        # Late import: trace.py dispatches to this module, so the usual
-        # top-level import would be a cycle.
-        from repro.engine.trace import RunMarker
 
         append = out.append
         i_m = i_y = i_l = i_a = i_e = i_r = i_g = 0
@@ -713,7 +734,9 @@ def _iter_chunks_handle(handle, path: str) -> Iterator[Chunk]:
             if HOT.enabled:
                 HOT.trace_chunks.inc()
                 HOT.trace_rows.inc(rows)
-            yield Chunk(block, rows, last_good, et, groups, pool, memos)
+            yield Chunk(
+                path, block, rows, last_good, et, groups, pool, memos
+            )
             recovered += rows
             last_good = handle.tell()
         if recovered != declared:
@@ -746,22 +769,10 @@ def read_events(source, salvage: bool = False, path: Optional[str] = None):
     corruption: Optional[TraceCorruptionError] = None
     try:
         for chunk in iter_chunks(source, path=path):
-            try:
-                chunk_events = chunk.events()
-            except (
-                IndexError, KeyError, ValueError, TypeError, RecursionError,
-                ConfigError,
-            ) as exc:
-                corruption = TraceCorruptionError(
-                    path or str(source), chunk.ordinal, chunk.start_offset,
-                    f"{type(exc).__name__}: {exc}",
-                    events_recovered=len(events),
-                )
-                break
-            events.extend(chunk_events)
+            events.extend(chunk.events())
     except TraceCorruptionError as exc:
         corruption = TraceCorruptionError(
-            exc.path, exc.line, exc.last_good_offset, exc.reason,
+            exc.path, exc.block, exc.last_good_offset, exc.reason,
             events_recovered=len(events),
         )
     if corruption is not None and not salvage:

@@ -145,8 +145,8 @@ def peek_gpu_config(events: Iterable) -> Tuple[GPUConfig, Iterable]:
     """The stream's recorded :class:`GPUConfig` header, and the stream.
 
     A materialized input (a list or :class:`Trace`) is scanned without
-    being consumed.  A lazy stream (a coltrace chunk generator, a JSONL
-    line reader) is peeked just past the preamble — the header precedes
+    being consumed.  A lazy stream (a coltrace chunk generator) is
+    peeked just past the preamble — the header precedes
     the first run's events — and the buffered records are chained back,
     so the stream is never materialized whole.  Without a header the
     config is :data:`TITAN_RTX`.

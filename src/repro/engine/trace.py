@@ -1,4 +1,4 @@
-"""Trace codec: the event stream as a serializable record/replay artifact.
+"""The recorded event stream: a serializable record/replay artifact.
 
 A :class:`Trace` is the ordered list of typed events one or more executions
 published on the bus — a :class:`~repro.gpu.arch.GPUConfig` header,
@@ -8,8 +8,9 @@ published on the bus — a :class:`~repro.gpu.arch.GPUConfig` header,
 :class:`~repro.gpu.events.SyncEvent` /
 :class:`~repro.gpu.events.KernelEndEvent` records, with
 :class:`RunMarker` boundaries between independently-executed runs (one per
-scheduler seed).  The codec serializes each record to one compact JSON
-line; ``.gz`` paths are transparently gzipped.
+scheduler seed).  On disk a trace is the columnar container of
+:mod:`repro.engine.coltrace` (``.ctr``, or ``.ctr.gz`` gzipped); any other
+extension is a :class:`~repro.errors.ConfigError`.
 
 Capture once, analyze forever: the predictive-analysis literature (e.g.
 *Predictive Data Race Detection for GPUs*) argues for exactly this —
@@ -20,32 +21,15 @@ traces.
 
 from __future__ import annotations
 
-import gzip
-import json
-import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple
 
-from repro.common.budget import line_limit
-from repro.errors import ConfigError, TraceCorruptionError
+from repro.errors import TraceCorruptionError
 from repro.gpu.arch import GPUConfig
-from repro.gpu.events import (
-    AccessKind,
-    AllocEvent,
-    KernelEndEvent,
-    LaunchEvent,
-    MemoryEvent,
-    SyncEvent,
-    SyncKind,
-)
-from repro.gpu.ids import ThreadLocation
-from repro.gpu.instructions import AtomicOp, Scope
+from repro.gpu.events import AllocEvent, KernelEndEvent, LaunchEvent
 from repro.instrument.nvbit import LaunchInfo, Tool
 from repro.instrument.timing import Category
 from repro.obs.log import get_logger
-
-#: Bumped whenever the record schema changes incompatibly.
-FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -56,183 +40,12 @@ class RunMarker:
 
 
 # ---------------------------------------------------------------------------
-# Codec
-# ---------------------------------------------------------------------------
-
-_ACCESS_SHORT = {AccessKind.LOAD: "l", AccessKind.STORE: "s", AccessKind.ATOMIC: "a"}
-_ACCESS_LONG = {v: k for k, v in _ACCESS_SHORT.items()}
-_SYNC_SHORT = {SyncKind.SYNCTHREADS: "t", SyncKind.SYNCWARP: "w", SyncKind.FENCE: "f"}
-_SYNC_LONG = {v: k for k, v in _SYNC_SHORT.items()}
-
-
-def _enc_where(where: ThreadLocation) -> List[int]:
-    return [
-        where.global_tid,
-        where.block_id,
-        where.tid_in_block,
-        where.warp_id,
-        where.lane,
-        where.warp_in_block,
-    ]
-
-
-def _dec_where(values) -> ThreadLocation:
-    return ThreadLocation(
-        global_tid=values[0],
-        block_id=values[1],
-        tid_in_block=values[2],
-        warp_id=values[3],
-        lane=values[4],
-        warp_in_block=values[5],
-    )
-
-
-def _jsonable(value):
-    """Event payload values the codec can carry losslessly, else ``repr``.
-
-    Workload kernels store Python ints (and occasionally strings); anything
-    exotic is degraded to its ``repr`` — visible in the trace rather than
-    silently dropped.
-    """
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    return repr(value)
-
-
-def encode_event(event) -> dict:
-    """One typed event -> one JSON-serializable record dict."""
-    if isinstance(event, GPUConfig):
-        return {"t": "gpu", "v": FORMAT_VERSION, **asdict(event)}
-    if isinstance(event, RunMarker):
-        return {"t": "run", "seed": event.seed}
-    if isinstance(event, AllocEvent):
-        return {"t": "alloc", "name": event.name, "base": event.base,
-                "words": event.num_words}
-    if isinstance(event, LaunchEvent):
-        return {
-            "t": "launch",
-            "k": event.kernel_name,
-            "g": event.grid_dim,
-            "bd": event.block_dim,
-            "ws": event.warp_size,
-            "wpb": event.warps_per_block,
-            "nt": event.num_threads,
-            "seed": event.seed,
-            "sic": event.static_instruction_count,
-            "par": event.parallelism,
-        }
-    if isinstance(event, MemoryEvent):
-        record = {
-            "t": "m",
-            "k": _ACCESS_SHORT[event.kind],
-            "a": event.address,
-            "w": _enc_where(event.where),
-            "ip": event.ip,
-            "am": sorted(event.active_mask),
-            "b": event.batch,
-        }
-        if event.scope is not Scope.DEVICE:
-            record["sc"] = int(event.scope)
-        if event.atomic_op is not None:
-            record["op"] = event.atomic_op.value
-        if event.value_stored is not None:
-            record["vs"] = _jsonable(event.value_stored)
-        if event.value_loaded is not None:
-            record["vl"] = _jsonable(event.value_loaded)
-        if event.compare is not None:
-            record["cmp"] = _jsonable(event.compare)
-        return record
-    if isinstance(event, SyncEvent):
-        record = {
-            "t": "y",
-            "k": _SYNC_SHORT[event.kind],
-            "w": _enc_where(event.where),
-            "ip": event.ip,
-            "am": sorted(event.active_mask),
-            "b": event.batch,
-        }
-        if event.scope is not Scope.DEVICE:
-            record["sc"] = int(event.scope)
-        return record
-    if isinstance(event, KernelEndEvent):
-        return {
-            "t": "end",
-            "k": event.kernel_name,
-            "to": event.timed_out,
-            "np": event.native_parallel,
-            "ns": event.native_serial,
-            "ba": event.batches,
-            "in": event.instructions,
-        }
-    raise TypeError(f"cannot encode trace event {event!r}")
-
-
-def decode_event(record: dict):
-    """One record dict -> the typed event it encodes."""
-    kind = record.get("t")
-    if kind == "gpu":
-        fields = {k: v for k, v in record.items() if k not in ("t", "v")}
-        return GPUConfig(**fields)
-    if kind == "run":
-        return RunMarker(seed=record["seed"])
-    if kind == "alloc":
-        return AllocEvent(
-            name=record["name"], base=record["base"], num_words=record["words"]
-        )
-    if kind == "launch":
-        return LaunchEvent(
-            kernel_name=record["k"],
-            grid_dim=record["g"],
-            block_dim=record["bd"],
-            warp_size=record["ws"],
-            warps_per_block=record["wpb"],
-            num_threads=record["nt"],
-            seed=record["seed"],
-            static_instruction_count=record["sic"],
-            parallelism=record["par"],
-        )
-    if kind == "m":
-        return MemoryEvent(
-            kind=_ACCESS_LONG[record["k"]],
-            address=record["a"],
-            where=_dec_where(record["w"]),
-            ip=record["ip"],
-            active_mask=frozenset(record["am"]),
-            scope=Scope(record.get("sc", int(Scope.DEVICE))),
-            atomic_op=AtomicOp(record["op"]) if "op" in record else None,
-            value_stored=record.get("vs"),
-            value_loaded=record.get("vl"),
-            compare=record.get("cmp"),
-            batch=record["b"],
-        )
-    if kind == "y":
-        return SyncEvent(
-            kind=_SYNC_LONG[record["k"]],
-            where=_dec_where(record["w"]),
-            ip=record["ip"],
-            active_mask=frozenset(record["am"]),
-            scope=Scope(record.get("sc", int(Scope.DEVICE))),
-            batch=record["b"],
-        )
-    if kind == "end":
-        return KernelEndEvent(
-            kernel_name=record["k"],
-            timed_out=record["to"],
-            native_parallel=record["np"],
-            native_serial=record["ns"],
-            batches=record["ba"],
-            instructions=record["in"],
-        )
-    raise ValueError(f"unknown trace record type {kind!r}")
-
-
-# ---------------------------------------------------------------------------
 # The trace container
 # ---------------------------------------------------------------------------
 
 
 class Trace:
-    """An ordered stream of typed events, serializable to JSONL."""
+    """An ordered stream of typed events, saved as a columnar container."""
 
     def __init__(self, events: Iterable = ()):
         self.events: List = list(events)
@@ -290,179 +103,37 @@ class Trace:
 
     # -- serialization --------------------------------------------------
 
-    def to_jsonl(self) -> str:
-        """The whole trace as JSON lines (one record per line)."""
-        return "\n".join(
-            json.dumps(encode_event(e), separators=(",", ":"))
-            for e in self.events
-        )
-
-    @classmethod
-    def from_jsonl(cls, text: str) -> "Trace":
-        return cls(
-            decode_event(json.loads(line))
-            for line in text.splitlines()
-            if line.strip()
-        )
-
     def save(self, path) -> None:
-        """Write the trace to ``path``.
+        """Write the trace to a ``.ctr`` / ``.ctr.gz`` columnar container.
 
-        The extension picks the codec: ``.ctr`` / ``.ctr.gz`` write the
-        columnar container (:mod:`repro.engine.coltrace`), anything else
-        the JSONL codec (gzipped when it ends in ``.gz``).
+        Any other extension raises :class:`~repro.errors.ConfigError`.
         """
-        if str(path).endswith((".ctr", ".ctr.gz")):
-            from repro.engine.coltrace import save_columnar
+        from repro.engine.coltrace import save_columnar
 
-            save_columnar(self.events, path)
-            return
-        opener = gzip.open if str(path).endswith(".gz") else open
-        with opener(path, "wt", encoding="utf-8") as handle:
-            for event in self.events:
-                handle.write(
-                    json.dumps(encode_event(event), separators=(",", ":"))
-                )
-                handle.write("\n")
+        save_columnar(self.events, path)
 
     @classmethod
     def load(cls, path, salvage: bool = False) -> "Trace":
         """Read a trace written by :meth:`save`.
 
-        A truncated or corrupt file (a crash mid-record, a bad byte, a
+        A truncated or corrupt file (a crash mid-chunk, a bad byte, a
         clipped gzip stream) raises :class:`TraceCorruptionError` carrying
-        the line number and the byte offset of the last intact record.
-        With ``salvage=True`` the intact prefix is returned instead — the
-        corruption details are attached as ``trace.corruption`` so replay
-        consumers can tell a salvaged trace from a complete one.
-
-        ``.ctr`` / ``.ctr.gz`` paths read the columnar container with the
-        same salvage contract (the recovery granule is a chunk of rows
-        rather than a line; the error's ``line`` is the block ordinal).
+        the block ordinal and the byte offset of the last intact chunk.
+        With ``salvage=True`` the intact chunk prefix is returned instead
+        — the corruption details are attached as ``trace.corruption`` so
+        replay consumers can tell a salvaged trace from a complete one.
         """
-        if str(path).endswith((".ctr", ".ctr.gz")):
-            from repro.engine.coltrace import read_events
+        from repro.engine.coltrace import read_events
 
-            events, corruption = read_events(path, salvage=salvage)
-            if corruption is not None:
-                get_logger("trace").warning(
-                    "salvaged %d event(s) from %s (%s)",
-                    len(events), path, corruption,
-                )
-            trace = cls(events)
-            trace.corruption = corruption
-            return trace
-        opener = gzip.open if str(path).endswith(".gz") else open
-        events: List = []
-        line_number = 0
-        last_good_offset = 0
-        corruption: Optional[TraceCorruptionError] = None
-        cap = line_limit()
-        try:
-            with opener(path, "rt", encoding="utf-8") as handle:
-                while True:
-                    # Bounded reads: a decompression bomb or corrupt
-                    # length field cannot materialize an arbitrarily
-                    # long "line" before the cap is checked.
-                    line = handle.readline(cap + 1)
-                    if not line:
-                        break
-                    line_number += 1
-                    stripped = line.strip()
-                    if stripped:
-                        try:
-                            if len(line) > cap:
-                                raise ValueError(
-                                    f"line exceeds the {cap}-byte "
-                                    f"decoder limit"
-                                )
-                            events.append(decode_event(json.loads(stripped)))
-                        except (
-                            json.JSONDecodeError, KeyError, ValueError,
-                            TypeError, IndexError, RecursionError,
-                            ConfigError,
-                        ) as exc:
-                            corruption = TraceCorruptionError(
-                                path, line_number, last_good_offset,
-                                f"{type(exc).__name__}: {exc}",
-                                events_recovered=len(events),
-                            )
-                            break
-                    last_good_offset += len(line.encode("utf-8"))
-        except (
-            EOFError, UnicodeDecodeError, gzip.BadGzipFile, zlib.error,
-            OSError,
-        ) as exc:
-            # A clipped gzip stream, corrupt deflate bytes (zlib.error
-            # bypasses BadGzipFile), or undecodable text surfaces from
-            # the reader itself, not from a parsed line.
-            corruption = TraceCorruptionError(
-                path, line_number + 1, last_good_offset,
-                f"{type(exc).__name__}: {exc}",
-                events_recovered=len(events),
-            )
+        events, corruption = read_events(path, salvage=salvage)
         if corruption is not None:
-            if not salvage:
-                raise corruption
             get_logger("trace").warning(
                 "salvaged %d event(s) from %s (%s)",
                 len(events), path, corruption,
             )
-            trace = cls(events)
-            trace.corruption = corruption
-            return trace
-        return cls(events)
-
-
-def stream_events(path) -> Iterator:
-    """Lazily yield a saved trace's events without loading it whole.
-
-    Dispatches on extension like :meth:`Trace.load`: columnar paths
-    decode chunk by chunk, JSONL paths line by line.  Corruption raises
-    :class:`TraceCorruptionError` mid-iteration (no salvage mode — lazy
-    consumers that want salvage should use ``Trace.load``).
-    """
-    if str(path).endswith((".ctr", ".ctr.gz")):
-        from repro.engine.coltrace import stream_events as stream_columnar
-
-        yield from stream_columnar(path)
-        return
-    opener = gzip.open if str(path).endswith(".gz") else open
-    line_number = 0
-    last_good_offset = 0
-    cap = line_limit()
-    try:
-        with opener(path, "rt", encoding="utf-8") as handle:
-            while True:
-                line = handle.readline(cap + 1)
-                if not line:
-                    break
-                line_number += 1
-                stripped = line.strip()
-                if stripped:
-                    try:
-                        if len(line) > cap:
-                            raise ValueError(
-                                f"line exceeds the {cap}-byte decoder limit"
-                            )
-                        yield decode_event(json.loads(stripped))
-                    except (
-                        json.JSONDecodeError, KeyError, ValueError,
-                        TypeError, IndexError, RecursionError,
-                        ConfigError,
-                    ) as exc:
-                        raise TraceCorruptionError(
-                            path, line_number, last_good_offset,
-                            f"{type(exc).__name__}: {exc}",
-                        ) from exc
-                last_good_offset += len(line.encode("utf-8"))
-    except (
-        EOFError, UnicodeDecodeError, gzip.BadGzipFile, zlib.error, OSError,
-    ) as exc:
-        raise TraceCorruptionError(
-            path, line_number + 1, last_good_offset,
-            f"{type(exc).__name__}: {exc}",
-        ) from exc
+        trace = cls(events)
+        trace.corruption = corruption
+        return trace
 
 
 # ---------------------------------------------------------------------------

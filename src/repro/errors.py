@@ -58,20 +58,21 @@ class TraceCorruptionError(ReproError):
     """A recorded trace file was truncated or corrupt.
 
     Carries enough structure for a caller to salvage the readable prefix:
-    ``line`` is the 1-based line number of the first bad record and
-    ``last_good_offset`` the byte offset (of the decoded text stream, so
-    it is meaningful for gzipped traces too) just past the last record
+    ``block`` is the 1-based ordinal of the first bad block of the
+    columnar container (the file header is block 1, each chunk one more)
+    and ``last_good_offset`` the byte offset (of the uncompressed stream,
+    so it is meaningful for gzipped traces too) just past the last chunk
     that decoded cleanly.
     """
 
-    def __init__(self, path, line: int, last_good_offset: int, reason: str,
+    def __init__(self, path, block: int, last_good_offset: int, reason: str,
                  events_recovered: int = 0):
         super().__init__(
-            f"{path}: corrupt trace at line {line} "
+            f"{path}: corrupt trace at block {block} "
             f"(byte offset {last_good_offset}): {reason}"
         )
         self.path = str(path)
-        self.line = line
+        self.block = block
         self.last_good_offset = last_good_offset
         self.reason = reason
         self.events_recovered = events_recovered

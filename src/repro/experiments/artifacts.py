@@ -40,11 +40,6 @@ def export(name: str) -> Any:
     return _plain(module.run())
 
 
-def export_all() -> dict:
-    """Run every experiment; returns ``{experiment name: result data}``."""
-    return {name: export(name) for name in ALL_EXPERIMENTS}
-
-
 def dump(path: str, names=None) -> dict:
     """Write selected experiments (default: all) to a JSON file."""
     names = list(names) if names else list(ALL_EXPERIMENTS)

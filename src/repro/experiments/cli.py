@@ -9,8 +9,8 @@ Two non-experiment subcommands ride the same entry point:
 - ``iguard-experiments explain <race-site>`` — race forensics: replay a
   recorded trace and reconstruct why a race was reported
   (:mod:`repro.obs.forensics`);
-- ``iguard-experiments trace <capture|convert|info|replay>`` — trace
-  container tooling for both on-disk formats, JSONL and columnar
+- ``iguard-experiments trace <capture|convert|info|replay>`` — tooling
+  for the columnar ``.ctr`` / ``.ctr.gz`` trace container
   (:mod:`repro.experiments.tracecli`);
 - ``iguard-experiments fuzz`` / ``iguard-experiments minimize`` — the
   differential fuzz campaign, triage-corpus replay, and ddmin
@@ -20,6 +20,10 @@ Two non-experiment subcommands ride the same entry point:
   (:mod:`repro.analysis.lint`);
 - the observability flags (``--log-level``, ``--metrics-out``,
   ``--trace-out``) apply to any experiment run.
+
+A torn or missing trace file, or a path without a ``.ctr`` / ``.ctr.gz``
+extension, ends ``explain`` and ``trace`` with exit code 2 and a
+one-line message on stderr rather than a traceback.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import argparse
 import sys
 import time
 
+from repro.errors import ConfigError, TraceCorruptionError
 from repro.experiments import ALL_EXPERIMENTS
 from repro.obs import (
     add_observability_args,
@@ -40,6 +45,24 @@ from repro.obs.log import get_logger, output
 PROFILE_TOP = 25
 
 
+def _read_trace_or_exit(entry, argv, salvage: bool) -> int:
+    """Run a trace-reading subcommand; a bad trace file exits 2 in one line.
+
+    ``salvage`` says whether the subcommand takes ``--salvage``, which
+    the message then suggests for a corrupt trace.
+    """
+    try:
+        return entry(argv)
+    except TraceCorruptionError as exc:
+        message = str(exc)
+        if salvage and "--salvage" not in argv:
+            message += "; rerun with --salvage to recover the intact prefix"
+    except (ConfigError, OSError) as exc:
+        message = str(exc)
+    print(f"error: {' '.join(message.split())}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -48,12 +71,14 @@ def main(argv=None) -> int:
         # experiment parser can reject its options.
         from repro.obs.forensics import main as explain_main
 
-        return explain_main(argv[1:])
+        return _read_trace_or_exit(explain_main, argv[1:], salvage=False)
     if argv and argv[0] == "trace":
         # Trace capture/convert/info/replay, same early dispatch.
         from repro.experiments.tracecli import main as trace_main
 
-        return trace_main(argv[1:])
+        return _read_trace_or_exit(
+            trace_main, argv[1:], salvage=argv[1:2] in (["convert"], ["info"])
+        )
     if argv and argv[0] == "fuzz":
         # Differential fuzz campaign / corpus replay, same early dispatch.
         from repro.faults.fuzz import main as fuzz_main

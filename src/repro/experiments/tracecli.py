@@ -1,17 +1,17 @@
 """Trace tooling: ``iguard-experiments trace <capture|convert|info|replay>``.
 
-The trace container subcommands, one surface for both on-disk formats
-(JSONL and the columnar ``.ctr``/``.ctr.gz`` of
-:mod:`repro.engine.coltrace` — the format is always chosen by the file
-extension):
+The subcommands over the columnar trace container of
+:mod:`repro.engine.coltrace` (``.ctr``, or ``.ctr.gz`` gzipped — chosen
+by the file extension):
 
 - ``capture`` — run a workload natively and record its event stream;
-- ``convert`` — translate a trace between formats, either direction;
-- ``info`` — summarize a trace file (format, events by type, runs);
+- ``convert`` — rewrite a trace between ``.ctr`` and ``.ctr.gz``, or
+  recover a corrupt one's intact prefix with ``--salvage``;
+- ``info`` — summarize a trace file (events by type, runs, device);
 - ``replay`` — run a detector over a trace file and print (or write as
-  canonical JSON) the merged workload report.  Reports are
-  byte-identical across the two container formats, which is what CI's
-  convert-replay-compare step enforces.
+  canonical JSON) the merged workload report.  The report is
+  byte-identical to the live runner's ``--report-json`` for the same
+  workload and seeds, which CI's capture-replay-compare step enforces.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    from repro.engine.coltrace import is_columnar_path
     from repro.engine.trace import RunMarker, Trace
     from repro.gpu.arch import GPUConfig
 
@@ -68,8 +67,7 @@ def _cmd_info(args) -> int:
         by_type[type(event).__name__] = by_type.get(type(event).__name__, 0) + 1
         if isinstance(event, RunMarker):
             runs += 1
-    fmt = "columnar" if is_columnar_path(args.path) else "jsonl"
-    output(f"{args.path}: {fmt}, {len(trace.events)} events, {runs} run(s)")
+    output(f"{args.path}: {len(trace.events)} events, {runs} run(s)")
     for name in sorted(by_type):
         output(f"  {name}: {by_type[name]}")
     config = next(
@@ -107,9 +105,8 @@ def _cmd_replay(args) -> int:
     for ip, race_type in result.race_sites:
         output(f"  [{race_type}] {ip}")
     if args.report_json:
-        # The runner's canonical report payload, verbatim: JSONL and
-        # columnar replays of the same trace produce byte-identical
-        # files.
+        # The runner's canonical report payload, verbatim: a replay
+        # writes the file a live run of the same workload writes.
         payload = {
             "workload": result.workload,
             "detector": result.detector,
@@ -144,7 +141,7 @@ def main(argv=None) -> int:
     )
     capture.add_argument(
         "--out", required=True, metavar="PATH",
-        help="output trace (.jsonl[.gz] or .ctr[.gz], by extension)",
+        help="output trace (.ctr, or .ctr.gz gzipped)",
     )
     capture.add_argument(
         "--seeds", default=None, metavar="S1,S2",
@@ -152,11 +149,11 @@ def main(argv=None) -> int:
     )
 
     convert = sub.add_parser(
-        "convert", help="translate a trace between JSONL and columnar"
+        "convert", help="rewrite a trace between .ctr and .ctr.gz"
     )
     convert.add_argument("src", help="source trace file")
     convert.add_argument(
-        "dst", help="destination trace file (format by extension)"
+        "dst", help="destination trace file (.ctr or .ctr.gz)"
     )
     convert.add_argument(
         "--salvage", action="store_true",

@@ -1,7 +1,7 @@
 """Delta debugging: shrink a failing input to a minimal reproducer.
 
 Zeller & Hildebrandt's ``ddmin`` over an arbitrary sequence: given a
-list of items (trace events, DSL statements, JSONL lines) and a
+list of items (DSL statements, byte blocks of a trace file) and a
 predicate that re-runs the failure check, find a *1-minimal* sublist —
 removing any single remaining item makes the failure disappear.  The
 fuzzer (:mod:`repro.faults.fuzz`) runs every crash and divergence it

@@ -1,4 +1,4 @@
-"""Differential fuzzer over the kernel DSL and both trace codecs.
+"""Differential fuzzer over the kernel DSL and the trace container.
 
 Two generators, one oracle:
 
@@ -17,16 +17,15 @@ Two generators, one oracle:
   analyzer's may-race set — a dynamically caught race at a
   statically-proven-safe site would mean the analyzer is unsound, so it
   fails the campaign like any divergence.
-- **Trace mutation**: byte- and line-level corruption of ``.jsonl``,
-  ``.jsonl.gz``, ``.ctr`` and ``.ctr.gz`` containers (flips, truncation,
-  duplication, junk insertion).  The salvage contract is the oracle:
-  strict loads may only succeed or raise
-  :class:`~repro.errors.TraceCorruptionError`; ``salvage=True`` loads
-  must never raise at all.  Anything else — a raw ``EOFError``, a
-  ``zlib.error``, an unbounded allocation — is a failure.
+- **Trace mutation**: byte-level corruption of ``.ctr`` and ``.ctr.gz``
+  containers (flips, truncation, duplication, junk insertion).  The
+  salvage contract is the oracle: strict loads and lazy streams may only
+  succeed or raise :class:`~repro.errors.TraceCorruptionError`;
+  ``salvage=True`` loads must never raise at all.  Anything else — a raw
+  ``EOFError``, a ``zlib.error``, an unbounded allocation — is a failure.
 
 Every failure is shrunk with :func:`repro.faults.ddmin.ddmin` (over DSL
-statements for programs, JSONL lines / byte blocks for traces) and
+statements for programs, 64-byte blocks for traces) and
 deduplicated by crash signature (exception type @ deepest in-repo
 frame).  ``--write-corpus`` files minimized repros into the triage
 corpus (``tests/corpus/``); ``--replay-corpus`` re-runs every historical
@@ -319,33 +318,22 @@ def differential_check(statements: List[list]) -> Optional[Dict]:
 # Trace mutation: the salvage-contract oracle
 # ---------------------------------------------------------------------------
 
-CODECS = ("jsonl", "jsonl.gz", "ctr", "ctr.gz")
+CODECS = ("ctr", "ctr.gz")
 
 
 def base_trace_bytes(rng: SplitMix64) -> Dict[str, bytes]:
     """Deterministic base containers for mutation, one per codec."""
     import io
-    import tempfile
 
     from repro.engine.coltrace import write_columnar
     from repro.engine.replay import capture_workload
 
     statements = gen_program(rng)
     trace = capture_workload(program_workload(statements), seeds=(0,))
-    with tempfile.TemporaryDirectory() as tmp:
-        jsonl_path = os.path.join(tmp, "base.jsonl")
-        trace.save(jsonl_path)
-        with open(jsonl_path, "rb") as handle:
-            jsonl = handle.read()
     buffer = io.BytesIO()
     write_columnar(buffer, list(trace))
     ctr = buffer.getvalue()
-    return {
-        "jsonl": jsonl,
-        "jsonl.gz": gzip.compress(jsonl, mtime=0),
-        "ctr": ctr,
-        "ctr.gz": gzip.compress(ctr, mtime=0),
-    }
+    return {"ctr": ctr, "ctr.gz": gzip.compress(ctr, mtime=0)}
 
 
 def mutate_bytes(data: bytes, rng: SplitMix64) -> bytes:
@@ -373,13 +361,14 @@ def mutate_bytes(data: bytes, rng: SplitMix64) -> bytes:
 def check_trace_bytes(data: bytes, codec: str) -> Optional[Dict]:
     """Run one (possibly corrupt) container through the codec oracle.
 
-    Strict loads may succeed or raise TraceCorruptionError — nothing
-    else.  Salvage loads must never raise.  Returns a failure dict or
-    None.
+    Strict loads and lazy chunk streams may succeed or raise
+    TraceCorruptionError — nothing else.  Salvage loads must never
+    raise.  Returns a failure dict or None.
     """
     import tempfile
 
-    from repro.engine.trace import Trace, stream_events
+    from repro.engine.coltrace import stream_events
+    from repro.engine.trace import Trace
 
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, f"mut.{codec}")
@@ -403,18 +392,17 @@ def check_trace_bytes(data: bytes, codec: str) -> Optional[Dict]:
                 "signature": crash_signature(exc),
                 "detail": f"salvage load raised {type(exc).__name__}: {exc}"[:300],
             }
-        if codec.startswith("jsonl"):
-            try:
-                for _ in stream_events(path):
-                    pass
-            except TraceCorruptionError:
+        try:
+            for _ in stream_events(path):
                 pass
-            except Exception as exc:  # noqa: BLE001
-                return {
-                    "kind": "crash",
-                    "signature": crash_signature(exc),
-                    "detail": f"stream: {type(exc).__name__}: {exc}"[:300],
-                }
+        except TraceCorruptionError:
+            pass
+        except Exception as exc:  # noqa: BLE001
+            return {
+                "kind": "crash",
+                "signature": crash_signature(exc),
+                "detail": f"stream: {type(exc).__name__}: {exc}"[:300],
+            }
     return None
 
 
@@ -436,13 +424,8 @@ def minimize_program(statements: List[list], signature: str) -> List[list]:
 
 
 def minimize_trace(data: bytes, codec: str, signature: str) -> bytes:
-    """ddmin a failing container (lines for jsonl, 64B blocks for ctr)."""
-    if codec.startswith("jsonl") and not codec.endswith(".gz"):
-        parts: List[bytes] = [
-            line + b"\n" for line in data.split(b"\n")
-        ]
-    else:
-        parts = [data[i : i + 64] for i in range(0, len(data), 64)]
+    """ddmin a failing container over its 64-byte blocks."""
+    parts = [data[i : i + 64] for i in range(0, len(data), 64)]
 
     def _still_fails(candidate: List[bytes]) -> bool:
         failure = check_trace_bytes(b"".join(candidate), codec)
@@ -615,7 +598,7 @@ def main(argv=None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="iguard-experiments fuzz",
-        description="Differential fuzz campaign over the DSL and codecs.",
+        description="Differential fuzz campaign over the DSL and traces.",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(

@@ -9,7 +9,8 @@ parts:
    fence: "the block-scope threadfence ... is 21x faster than the device
    scope fence" (section 1), so ``fence_device = 21 * fence_block``.
 
-2. **A wall-time model** (:class:`WallClock`): total *work* executed in
+2. **A wall-time model** (the parallel/serial split of
+   :class:`~repro.instrument.timing.TimingBreakdown`): total *work* executed in
    parallel regions is divided by the machine's effective parallelism
    (bounded by launched threads and available lanes), while *serialized*
    work — metadata-lock contention inside iGUARD, or Barracuda's CPU-side
@@ -25,7 +26,7 @@ optimizations).  They are not measurements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.gpu.instructions import (
     Atomic,
@@ -78,43 +79,6 @@ class CostParams:
 
 
 DEFAULT_COSTS = CostParams()
-
-
-@dataclass
-class WallClock:
-    """Accumulates parallel work and serialized stalls into wall time.
-
-    ``parallel_work`` cycles are divided by the effective parallelism when
-    converted to time; ``serial_work`` cycles are charged as-is.  The
-    division point is what separates iGUARD (detection work is parallel,
-    only metadata contention serializes) from Barracuda (all detection work
-    is serialized on the CPU).
-    """
-
-    parallelism: int = 1
-    parallel_work: float = 0.0
-    serial_work: float = 0.0
-
-    def add_parallel(self, cycles: float) -> None:
-        """Charge cycles that all lanes execute concurrently."""
-        self.parallel_work += cycles
-
-    def add_serial(self, cycles: float) -> None:
-        """Charge cycles that execute with no parallelism at all."""
-        self.serial_work += cycles
-
-    @property
-    def time(self) -> float:
-        """Wall time in cycle units."""
-        return self.parallel_work / max(self.parallelism, 1) + self.serial_work
-
-    def merged_with(self, other: "WallClock") -> "WallClock":
-        """Combine two accounts that share this account's parallelism."""
-        return WallClock(
-            parallelism=self.parallelism,
-            parallel_work=self.parallel_work + other.parallel_work,
-            serial_work=self.serial_work + other.serial_work,
-        )
 
 
 def effective_parallelism(num_threads: int, max_lanes: int) -> int:

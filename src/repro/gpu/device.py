@@ -104,7 +104,7 @@ class Device:
         return self.bus.add_sink(tool, self)
 
     def add_sink(self, sink):
-        """Register any bus sink (a Tool, ToolSink, TraceSink, ...)."""
+        """Register any bus sink (a Tool, TraceSink, Tracer, ...)."""
         return self.bus.add_sink(sink, self)
 
     def alloc(self, name: str, num_words: int, init=0) -> GlobalArray:
@@ -379,7 +379,7 @@ class _Executor:
         )
         self._notify_sync(event)
 
-    # -- fan-out ----------------------------------------------------------
+    # -- publication ------------------------------------------------------
 
     def _notify_memory(self, event: MemoryEvent) -> None:
         self.device.bus.publish_memory(event, self.launch)

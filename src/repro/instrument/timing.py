@@ -89,17 +89,3 @@ class TimingBreakdown:
         """Times per category keyed by name, for reports and tests."""
         return {c.value: self.time_of(c) for c in Category}
 
-
-def shared_native_view(shared: TimingBreakdown) -> TimingBreakdown:
-    """A per-sink timing view over a launch's shared breakdown.
-
-    The view *shares* the NATIVE account object with ``shared`` (the
-    executor's uninstrumented cycles accrue into both) but owns private
-    accounts for every overhead category.  When several detectors observe
-    one execution pass through the event bus, each charges its own view, so
-    per-detector overheads and Figure 13 fractions come out exactly as if
-    the detector had run alone.
-    """
-    view = TimingBreakdown(parallelism=shared.parallelism)
-    view.accounts[Category.NATIVE] = shared.accounts[Category.NATIVE]
-    return view

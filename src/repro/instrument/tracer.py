@@ -69,14 +69,13 @@ class Tracer(Tool):
 
         ``trace`` is a :class:`~repro.engine.trace.Trace` (or any iterable
         of stream records), or a path to a saved trace file — paths are
-        streamed lazily (columnar chunks or JSONL lines) rather than
-        loaded whole; the tracer observes the stream through
+        streamed lazily, chunk by chunk, rather than loaded whole; the tracer observes the stream through
         :func:`repro.engine.replay.replay` instead of a live device.
         """
         from repro.engine.replay import replay
 
         if isinstance(trace, (str, bytes)) or hasattr(trace, "__fspath__"):
-            from repro.engine.trace import stream_events
+            from repro.engine.coltrace import stream_events
 
             trace = stream_events(trace)
         tracer = cls(**kwargs)

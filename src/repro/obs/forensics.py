@@ -489,7 +489,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--trace", default=None, metavar="PATH",
-        help="previously recorded trace (.jsonl / .jsonl.gz) to replay",
+        help="previously recorded trace (.ctr / .ctr.gz) to replay",
     )
     parser.add_argument(
         "--seeds", default=None, metavar="S1,S2",

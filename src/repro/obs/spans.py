@@ -160,9 +160,5 @@ TRACER = SpanTracer(
 )
 
 
-def tracing_enabled() -> bool:
-    return TRACER.enabled
-
-
 def set_tracing(enabled: bool) -> None:
     TRACER.enabled = enabled

@@ -2,19 +2,19 @@
 
 Three contracts:
 
-- **round-trip** — any event stream the JSONL codec accepts survives
-  JSONL ↔ columnar translation bit-exactly, including the optional
-  value fields (``value_stored``/``value_loaded``/``compare``);
-- **salvage** — a truncated ``.ctr`` recovers its longest intact chunk
-  prefix under the same :class:`TraceCorruptionError` forensics contract
-  as the JSONL reader;
-- **replay equivalence** — replaying the columnar container produces
-  canonical workload reports byte-identical to the JSONL replay, for
-  IGuard (bus and chunk-fed) and FastTrack.
+- **round-trip** — any typed event stream, device-config headers and
+  run markers included, survives the columnar container bit-exactly,
+  including the optional value fields
+  (``value_stored``/``value_loaded``/``compare``);
+- **salvage** — a truncated or corrupt ``.ctr`` raises
+  :class:`TraceCorruptionError` with its block ordinal and byte offset,
+  and ``salvage=True`` recovers its longest intact chunk prefix;
+- **replay equivalence** — replaying ``.ctr`` and ``.ctr.gz`` produces
+  canonical workload reports byte-identical to the live run, for IGuard
+  (bus and chunk-fed) and FastTrack.
 """
 
 import gzip
-import io
 import json
 
 import pytest
@@ -25,45 +25,35 @@ from repro.baselines import FastTrack
 from repro.core import IGuard
 from repro.core.sharding import replay_columnar_sharded
 from repro.engine import Trace, capture_workload, replay_workload
-from repro.engine.coltrace import (
-    is_columnar_path,
-    iter_chunks,
-    read_events,
-    save_columnar,
-    write_columnar,
-)
-from repro.errors import TraceCorruptionError
-from repro.workloads import get_workload
+from repro.engine.coltrace import iter_chunks, save_columnar
+from repro.engine.trace import RunMarker
+from repro.errors import ConfigError, TraceCorruptionError
+from repro.gpu.arch import PRE_VOLTA, TITAN_RTX
+from repro.workloads import get_workload, run_workload
+from repro.workloads.base import SIM_GPU
 
-from tests.test_engine_trace import _events
+from tests.test_engine_trace import _columnar_round_trip as _round_trip, _events
+
+#: Stream records beyond the typed events: device-config headers and run
+#: boundaries.
+_records = st.one_of(
+    _events,
+    st.sampled_from([SIM_GPU, TITAN_RTX, PRE_VOLTA]),
+    st.builds(RunMarker, seed=st.integers(0, 2**31)),
+)
 
 #: The replay-equivalence matrix, per the PR: 4 racy + 3 race-free.
 RACY = ("matrix-mult", "reduction", "graph-color", "reduceMB")
 RACE_FREE = ("warpAA", "b_reduce", "b_scan")
 
 
-def _round_trip(events, chunk_rows):
-    buffer = io.BytesIO()
-    write_columnar(buffer, events, chunk_rows=chunk_rows)
-    restored, corruption = read_events(io.BytesIO(buffer.getvalue()))
-    assert corruption is None
-    return restored
-
-
 class TestColumnarRoundTrip:
-    @given(events=st.lists(_events, max_size=30))
+    @given(events=st.lists(_records, max_size=30))
     @settings(max_examples=50, deadline=None)
     def test_any_stream_round_trips(self, events):
         # chunk_rows smaller than the stream forces multi-chunk traces,
         # exercising the cross-chunk string pool and memo reuse.
         assert _round_trip(events, chunk_rows=7) == events
-
-    @given(events=st.lists(_events, max_size=12))
-    @settings(max_examples=25, deadline=None)
-    def test_matches_jsonl_codec(self, events):
-        trace = Trace(events)
-        via_jsonl = Trace.from_jsonl(trace.to_jsonl()).events
-        assert _round_trip(events, chunk_rows=5) == via_jsonl
 
     def test_exotic_values_round_trip(self):
         from repro.gpu.events import AccessKind, MemoryEvent
@@ -93,22 +83,28 @@ class TestColumnarRoundTrip:
         packed = tmp_path / "trace.ctr.gz"
         trace.save(plain)
         trace.save(packed)
-        assert Trace.load(plain).events == trace.events
-        assert Trace.load(packed).events == trace.events
-        assert is_columnar_path(plain) and is_columnar_path(packed)
-        assert not is_columnar_path(tmp_path / "trace.jsonl")
+        assert plain.read_bytes().startswith(b'{"format":"iguard-ctr"')
+        assert gzip.decompress(packed.read_bytes()) == plain.read_bytes()
+        # Only the two columnar extensions name a trace file.
+        other = tmp_path / "trace.json.gz"
+        with pytest.raises(ConfigError, match=r"\.ctr or \.ctr\.gz"):
+            trace.save(other)
+        assert not other.exists()
+        other.write_bytes(plain.read_bytes())
+        with pytest.raises(ConfigError, match="trace.json.gz"):
+            Trace.load(other)
 
     def test_convert_both_directions(self, tmp_path):
         from repro.experiments.tracecli import main as trace_main
 
         trace = capture_workload(get_workload("reduction"), seeds=(1,))
-        jsonl = tmp_path / "a.jsonl"
         ctr = tmp_path / "a.ctr"
-        back = tmp_path / "b.jsonl"
-        trace.save(jsonl)
-        assert trace_main(["convert", str(jsonl), str(ctr)]) == 0
-        assert trace_main(["convert", str(ctr), str(back)]) == 0
-        assert back.read_bytes() == jsonl.read_bytes()
+        packed = tmp_path / "a.ctr.gz"
+        back = tmp_path / "b.ctr"
+        trace.save(ctr)
+        assert trace_main(["convert", str(ctr), str(packed)]) == 0
+        assert trace_main(["convert", str(packed), str(back)]) == 0
+        assert back.read_bytes() == ctr.read_bytes()
 
     def test_vectorized_granules_match_scalar(self, tmp_path):
         trace = capture_workload(get_workload("reduction"), seeds=(1,))
@@ -134,7 +130,7 @@ def _columnar_pattern_trace(tmp_path, chunk_rows=64, suffix=""):
 
 
 class TestColumnarSalvage:
-    """Mirrors the JSONL TestTraceSalvage contract at chunk granularity."""
+    """Truncation and garbage: strict forensics, chunk-prefix salvage."""
 
     def test_truncation_raises_with_forensics(self, tmp_path):
         path, total, chunk_rows = _columnar_pattern_trace(tmp_path)
@@ -145,9 +141,9 @@ class TestColumnarSalvage:
             Trace.load(path)
         assert 0 <= info.value.events_recovered < total
         assert info.value.events_recovered % chunk_rows == 0
-        assert info.value.line >= 2  # block ordinal; file header is 1
+        assert info.value.block >= 2  # block ordinal; file header is 1
         assert info.value.last_good_offset > 0
-        assert "corrupt trace at line" in str(info.value)
+        assert "corrupt trace at block" in str(info.value)
 
     def test_salvage_returns_chunk_prefix(self, tmp_path):
         path, total, chunk_rows = _columnar_pattern_trace(tmp_path)
@@ -187,6 +183,24 @@ class TestColumnarSalvage:
         assert len(trace.events) == total
         assert trace.corruption is None
 
+    def test_invalid_pooled_gpu_config_is_corruption(self, tmp_path):
+        # A flipped digit in the pooled GPUConfig JSON decodes but fails
+        # GPUConfig.__post_init__; that is corruption of the chunk
+        # holding the header, not a configuration error.
+        path = tmp_path / "t.ctr"
+        save_columnar([RunMarker(1), SIM_GPU], path, chunk_rows=1)
+        raw = path.read_bytes()
+        good = b'\\"warp_size\\": 8}'
+        assert raw.count(good) == 1
+        path.write_bytes(raw.replace(good, b'\\"warp_size\\": 0}'))
+        with pytest.raises(TraceCorruptionError) as info:
+            Trace.load(path)
+        assert info.value.block == 3  # file header, marker chunk, config
+        assert "ConfigError" in info.value.reason
+        trace = Trace.load(path, salvage=True)
+        assert trace.events == [RunMarker(1)]
+        assert trace.corruption.block == 3
+
 
 def _canonical_report(result):
     """The runner's canonical payload, serialized for byte comparison."""
@@ -212,27 +226,25 @@ _FACTORIES = {
 
 
 class TestReplayEquivalence:
-    """Columnar replay reports are byte-identical to JSONL replay."""
+    """``.ctr`` and ``.ctr.gz`` replay reports are byte-identical to live."""
 
     @pytest.mark.parametrize("name", RACY + RACE_FREE)
     def test_formats_agree_across_detectors_and_drivers(
         self, name, tmp_path
     ):
         workload = get_workload(name)
-        trace = capture_workload(workload, seeds=workload.seeds[:1])
-        jsonl = tmp_path / "t.jsonl"
-        ctr = tmp_path / "t.ctr"
-        trace.save(jsonl)
-        trace.save(ctr)
+        seeds = workload.seeds[:1]
+        trace = capture_workload(workload, seeds=seeds)
+        paths = (tmp_path / "t.ctr", tmp_path / "t.ctr.gz")
+        for path in paths:
+            trace.save(path)
         for label, factory in _FACTORIES.items():
-            reports = {
-                str(path): _canonical_report(
+            live = _canonical_report(run_workload(workload, factory, seeds=seeds))
+            for path in paths:
+                replayed = _canonical_report(
                     replay_workload(Trace.load(path), factory, name)
                 )
-                for path in (jsonl, ctr)
-            }
-            jsonl_report, ctr_report = reports[str(jsonl)], reports[str(ctr)]
-            assert jsonl_report == ctr_report, f"{name}/{label} diverged"
+                assert replayed == live, f"{name}/{label}/{path.name} diverged"
 
     @pytest.mark.parametrize("name", RACY[:2] + RACE_FREE[:1])
     def test_streaming_drain_matches_serial_sites(self, name, tmp_path):

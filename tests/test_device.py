@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import LaunchError
 from repro.gpu.arch import TEST_GPU
-from repro.gpu.costs import CostParams, WallClock, effective_parallelism
+from repro.gpu.costs import CostParams, effective_parallelism
 from repro.gpu.device import Device
 from repro.gpu.events import AccessKind, SyncKind
 from repro.gpu.instructions import (
@@ -202,10 +202,12 @@ class TestCostModel:
         assert costs.cost_of(Compute(5)) == 5
 
     def test_wall_clock_parallel_division(self):
-        wc = WallClock(parallelism=4)
-        wc.add_parallel(100)
-        wc.add_serial(10)
-        assert wc.time == 35.0
+        # One category's parallel cycles divide by the parallelism; its
+        # serial cycles are charged as-is.
+        timing = TimingBreakdown(parallelism=4)
+        timing.charge(Category.DETECTION, 100)
+        timing.charge(Category.DETECTION, 10, serial=True)
+        assert timing.time_of(Category.DETECTION) == 35.0
 
     def test_effective_parallelism(self):
         assert effective_parallelism(10, 100) == 10

@@ -1,15 +1,9 @@
-"""The event bus, sink adapters, and multi-detector fan-out."""
+"""The event bus: ordered dispatch of device events to sinks."""
 
-import pytest
-
-from repro.baselines import Barracuda
-from repro.core import IGuard
-from repro.engine import EventBus, ToolSink, run_workload_fanout
-from repro.errors import UnsupportedFeatureError
+from repro.engine import EventBus
 from repro.gpu.device import Device
 from repro.gpu.instructions import store
 from repro.instrument.nvbit import Tool
-from repro.workloads import get_workload, run_workload
 from repro.workloads.base import SIM_GPU
 
 
@@ -110,93 +104,3 @@ class TestEventBus:
         assert recorder.counts["begin"] == 1
         # the minimal sink saw everything except the record it lacks
         assert minimal.seen == ["attach", "alloc", "begin"] + ["memory"] * 4 + ["end"]
-
-    def test_remove_sink_stops_delivery(self):
-        device = Device(SIM_GPU)
-        tool = device.add_tool(Recorder())
-        device.bus.remove_sink(tool)
-        device.alloc("a", 4)
-        assert tool.counts["alloc"] == 0
-
-
-class TestToolSink:
-    def test_failure_is_absorbed_and_recorded(self):
-        class Fussy(Tool):
-            name = "fussy"
-
-            def on_memory(self, event, launch):
-                raise UnsupportedFeatureError("no can do")
-
-        device = Device(SIM_GPU)
-        fussy = device.add_sink(ToolSink(Fussy()))
-        healthy = device.add_sink(ToolSink(Recorder()))
-        a = device.alloc("a", 4)
-        device.launch(_small_kernel, grid_dim=1, block_dim=4, args=(a,))
-        assert fussy.failure == ("unsupported", "no can do")
-        assert fussy.disabled
-        assert not fussy.completed_timings  # dropped out mid-kernel
-        assert healthy.failure is None
-        assert healthy.tool.counts["memory"] == 4
-        assert len(healthy.completed_timings) == 1
-
-    def test_unisolated_sink_propagates(self):
-        class Fussy(Tool):
-            def on_memory(self, event, launch):
-                raise UnsupportedFeatureError("boom")
-
-        device = Device(SIM_GPU)
-        device.add_sink(ToolSink(Fussy(), isolate=False))
-        a = device.alloc("a", 4)
-        with pytest.raises(UnsupportedFeatureError):
-            device.launch(_small_kernel, grid_dim=1, block_dim=4, args=(a,))
-
-    def test_private_timing_shares_native_only(self):
-        device = Device(SIM_GPU)
-        sink = device.add_sink(ToolSink(IGuard()))
-        a = device.alloc("a", 4)
-        run = device.launch(_small_kernel, grid_dim=1, block_dim=4, args=(a,))
-        (view,) = sink.completed_timings
-        assert view is not run.timing
-        assert view.native_time == run.timing.native_time
-        # the device's own breakdown stays clean of the tool's overheads
-        assert run.overhead == pytest.approx(1.0)
-        assert view.overhead > 1.0
-
-
-class TestFanout:
-    """Acceptance: one execution pass drives >= 2 detectors, each equal
-    to its solo run — overheads included, to float precision."""
-
-    def test_two_detectors_one_pass_match_solo_runs(self):
-        workload = get_workload("hashtable")
-        fan_ig, fan_bar = run_workload_fanout(
-            workload, [IGuard, Barracuda], seeds=(1,)
-        )
-        solo_ig = run_workload(workload, IGuard, seeds=(1,))
-        solo_bar = run_workload(workload, Barracuda, seeds=(1,))
-        assert fan_ig == solo_ig
-        assert fan_bar == solo_bar
-
-    def test_fanout_isolates_barracuda_unsupported(self):
-        # warpAA's scoped atomics kill Barracuda but not the shared pass.
-        workload = get_workload("warpAA")
-        fan_ig, fan_bar = run_workload_fanout(
-            workload, [IGuard, Barracuda], seeds=(1,)
-        )
-        assert fan_ig == run_workload(workload, IGuard, seeds=(1,))
-        assert fan_bar.status == "unsupported"
-        assert fan_bar.status == run_workload(workload, Barracuda, seeds=(1,)).status
-
-    def test_fanout_complex_binary_precheck(self):
-        workload = get_workload("louvain")
-        fan_ig, fan_bar = run_workload_fanout(
-            workload, [IGuard, Barracuda], seeds=(1,)
-        )
-        assert fan_bar.status == "unsupported"
-        assert "PTX" in fan_bar.detail
-        assert fan_ig.status == "ok"
-
-    def test_fanout_multi_seed_union(self):
-        workload = get_workload("graph-color")
-        (fan_ig,) = run_workload_fanout(workload, [IGuard])
-        assert fan_ig == run_workload(workload, IGuard)

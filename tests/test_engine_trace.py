@@ -1,6 +1,6 @@
 """Trace record/replay: captured streams re-drive detectors exactly."""
 
-import gzip
+import io
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from repro.baselines import Barracuda
 from repro.core import IGuard
 from repro.engine import Trace, TraceSink, capture_workload, replay, replay_workload
-from repro.engine.trace import decode_event, encode_event
+from repro.engine.coltrace import read_events, write_columnar
+from repro.engine.trace import RunMarker
+from repro.errors import TraceCorruptionError
 from repro.gpu.arch import GPUConfig
 from repro.gpu.device import Device
 from repro.gpu.events import (
@@ -54,10 +56,12 @@ class TestReplayMatchesLive:
         assert replayed.native_time == live.native_time
         assert replayed.total_time == live.total_time
 
-    def test_replay_after_jsonl_round_trip(self):
+    def test_replay_after_ctr_round_trip(self, tmp_path):
         workload = get_workload("graph-color")
         live = run_workload(workload, IGuard)
-        trace = Trace.from_jsonl(capture_workload(workload).to_jsonl())
+        path = tmp_path / "graph-color.ctr.gz"
+        capture_workload(workload).save(path)
+        trace = Trace.load(path)
         replayed = replay_workload(trace, IGuard, workload_name=workload.name)
         assert replayed.race_sites == live.race_sites
         assert replayed.overhead == live.overhead
@@ -100,14 +104,12 @@ class TestTraceContainer:
 
     def test_save_load_plain_and_gzip(self, tmp_path):
         trace = capture_workload(get_workload("b_scan"), seeds=(1,))
-        plain = tmp_path / "trace.jsonl"
-        packed = tmp_path / "trace.jsonl.gz"
+        plain = tmp_path / "trace.ctr"
+        packed = tmp_path / "trace.ctr.gz"
         trace.save(plain)
         trace.save(packed)
         assert Trace.load(plain).events == trace.events
         assert Trace.load(packed).events == trace.events
-        with gzip.open(packed, "rt", encoding="utf-8") as fh:
-            assert fh.readline().strip().startswith('{"t":"gpu"')
 
     def test_trace_sink_is_zero_overhead(self):
         from repro.gpu.instructions import store
@@ -202,25 +204,37 @@ _events = st.one_of(
 )
 
 
+def _columnar_round_trip(events, chunk_rows=1):
+    buffer = io.BytesIO()
+    write_columnar(buffer, events, chunk_rows=chunk_rows)
+    restored, corruption = read_events(io.BytesIO(buffer.getvalue()))
+    assert corruption is None
+    return restored
+
+
 class TestCodecRoundTrip:
+    """Each record type alone in a one-row ``.ctr`` chunk."""
+
     @given(event=_events)
     @settings(max_examples=200, deadline=None)
     def test_event_round_trips(self, event):
-        assert decode_event(encode_event(event)) == event
-
-    @given(events=st.lists(_events, max_size=20))
-    @settings(max_examples=50, deadline=None)
-    def test_jsonl_round_trips(self, events):
-        trace = Trace(events)
-        assert Trace.from_jsonl(trace.to_jsonl()).events == trace.events
+        assert _columnar_round_trip([event]) == [event]
 
     def test_gpu_config_round_trips(self):
-        assert decode_event(encode_event(SIM_GPU)) == SIM_GPU
-        restored = decode_event(encode_event(SIM_GPU))
+        (restored, marker) = _columnar_round_trip([SIM_GPU, RunMarker(7)])
         assert isinstance(restored, GPUConfig)
+        assert restored == SIM_GPU
+        assert marker == RunMarker(7)
 
     def test_unknown_record_rejected(self):
-        with pytest.raises(ValueError):
-            decode_event({"t": "mystery"})
         with pytest.raises(TypeError):
-            encode_event(object())
+            write_columnar(io.BytesIO(), [object()])
+        buffer = io.BytesIO()
+        write_columnar(buffer, [RunMarker(1)])
+        data = bytearray(buffer.getvalue())
+        # The one row's event-type code is the last byte of the ``et``
+        # block, just before the run-seed block (an 8-byte int64 after
+        # its 128-byte npy header).
+        data[-8 - 128 - 1] = 0xEE
+        with pytest.raises(TraceCorruptionError, match="event-type code"):
+            read_events(io.BytesIO(bytes(data)))

@@ -1,7 +1,6 @@
 """Fault injection: mutators, the recall gate, trace salvage, and
 graceful degradation under metadata pressure."""
 
-import gzip
 import json
 import os
 
@@ -9,6 +8,8 @@ import pytest
 
 from repro.core import IGuard
 from repro.core.config import IGuardConfig
+from repro.core.sharding import replay_columnar_sharded
+from repro.engine.coltrace import iter_chunks, save_columnar, stream_events
 from repro.engine.trace import Trace, TraceSink
 from repro.errors import ConfigError, TraceCorruptionError
 from repro.faults.mutators import MutationSpec, install
@@ -122,53 +123,90 @@ def _record_pattern_trace(tmp_path, suffix=""):
     device = Device(SIM_GPU)
     sink = device.add_sink(TraceSink())
     pattern.workload.run(device, 1)
-    path = str(tmp_path / f"trace.jsonl{suffix}")
-    sink.trace.save(path)
-    return path, len(sink.trace)
+    path = str(tmp_path / f"trace.ctr{suffix}")
+    save_columnar(sink.trace.events, path, chunk_rows=CHUNK_ROWS)
+    return path, sink.trace.events
+
+
+#: Rows per chunk of the recorded pattern trace: small, so the trace
+#: spans several chunks.
+CHUNK_ROWS = 4
+
+
+def _corrupt_event_type(path, chunk_index):
+    """Overwrite the first event-type code of one chunk with a bad code.
+
+    The chunk header and every block size stay valid, so only the row
+    decode of :meth:`Chunk.events` can notice.  Returns the chunk's
+    block ordinal and start offset.
+    """
+    chunk = list(iter_chunks(path))[chunk_index]
+    raw = bytearray(open(path, "rb").read())
+    et_block = raw.index(b"\n", chunk.start_offset) + 1
+    header_len = int.from_bytes(raw[et_block + 8 : et_block + 10], "little")
+    raw[et_block + 10 + header_len] = 0xEE
+    with open(path, "wb") as handle:
+        handle.write(raw)
+    return chunk.ordinal, chunk.start_offset
+
+
+def _lazy_corruption(path):
+    """The corruption both lazy decode paths raise, as comparable tuples."""
+    raised = []
+    with pytest.raises(TraceCorruptionError) as info:
+        for _ in stream_events(path):
+            pass
+    raised.append((info.value.block, info.value.last_good_offset))
+    with pytest.raises(TraceCorruptionError) as info:
+        replay_columnar_sharded(path)
+    raised.append((info.value.block, info.value.last_good_offset))
+    return raised
 
 
 class TestTraceSalvage:
     def test_corrupt_line_raises_with_forensics(self, tmp_path):
-        path, total = _record_pattern_trace(tmp_path)
-        lines = open(path, "rb").read().splitlines(keepends=True)
-        cut = total // 2
-        with open(path, "wb") as handle:
-            handle.write(b"".join(lines[:cut]) + lines[cut][:7])
+        path, events = _record_pattern_trace(tmp_path)
+        assert len(events) > 3 * CHUNK_ROWS
+        block, offset = _corrupt_event_type(path, 2)
         with pytest.raises(TraceCorruptionError) as info:
             Trace.load(path)
-        assert info.value.line == cut + 1
-        assert info.value.events_recovered == cut
-        assert info.value.last_good_offset == sum(
-            len(line) for line in lines[:cut]
-        )
-        assert "corrupt trace at line" in str(info.value)
+        assert info.value.block == block == 4  # file header, then chunks
+        assert info.value.events_recovered == 2 * CHUNK_ROWS
+        assert info.value.last_good_offset == offset
+        assert "unknown event-type code 238" in info.value.reason
+        assert "corrupt trace at block 4" in str(info.value)
+        # The lazy paths report the same block and offset.
+        assert _lazy_corruption(path) == [(block, offset)] * 2
 
     def test_salvage_returns_intact_prefix(self, tmp_path):
-        path, total = _record_pattern_trace(tmp_path)
-        raw = open(path, "rb").read()
-        with open(path, "wb") as handle:
-            handle.write(raw[: len(raw) - 9])  # clip the final record
+        path, events = _record_pattern_trace(tmp_path)
+        _corrupt_event_type(path, 1)
         trace = Trace.load(path, salvage=True)
-        assert len(trace) == total - 1
+        assert trace.events == events[:CHUNK_ROWS]
         assert trace.corruption is not None
-        assert trace.corruption.events_recovered == total - 1
+        assert trace.corruption.events_recovered == CHUNK_ROWS
 
     def test_truncated_gzip_stream(self, tmp_path):
-        path, total = _record_pattern_trace(tmp_path, suffix=".gz")
+        path, events = _record_pattern_trace(tmp_path, suffix=".gz")
         raw = open(path, "rb").read()
         with open(path, "wb") as handle:
-            handle.write(raw[: len(raw) // 2])
+            handle.write(raw[: (len(raw) * 3) // 4])
         with pytest.raises(TraceCorruptionError):
             Trace.load(path)
         trace = Trace.load(path, salvage=True)
-        assert 0 < len(trace) < total
+        assert 0 < len(trace) < len(events)
         assert trace.corruption is not None
+        block = trace.corruption.block
+        offset = trace.corruption.last_good_offset
+        assert _lazy_corruption(path) == [(block, offset)] * 2
 
     def test_intact_trace_has_no_corruption(self, tmp_path):
-        path, total = _record_pattern_trace(tmp_path)
+        path, events = _record_pattern_trace(tmp_path, suffix=".gz")
         trace = Trace.load(path)
-        assert len(trace) == total
+        assert trace.events == events
         assert trace.corruption is None
+        assert list(stream_events(path)) == events
+        assert replay_columnar_sharded(path).events > 0
 
 
 class TestMetadataPressure:

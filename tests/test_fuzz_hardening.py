@@ -151,7 +151,7 @@ class TestQuarantine:
         assert quarantine.report_block() is None
 
     def test_exempt_exceptions_propagate(self):
-        torn = TraceCorruptionError("t.jsonl", 1, 0, "torn")
+        torn = TraceCorruptionError("t.ctr", 1, 0, "torn")
         with pytest.raises(TraceCorruptionError):
             quarantine.poison(None, torn, "core")
         with pytest.raises(MemoryError):
@@ -363,17 +363,21 @@ class TestDecoderLimits:
         monkeypatch.setenv("IGUARD_MEM_BUDGET", "1k")
         assert line_limit() == 1024
 
-    def test_jsonl_line_over_budget_is_corruption(
+    def test_header_line_over_budget_is_corruption(
         self, captured_events, monkeypatch, tmp_path
     ):
-        path = tmp_path / "t.jsonl"
-        trace = Trace(captured_events)
-        trace.save(str(path))
-        monkeypatch.setenv("IGUARD_MEM_BUDGET", "64")
-        with pytest.raises(TraceCorruptionError):
+        from repro.common import budget
+
+        path = tmp_path / "t.ctr"
+        Trace(captured_events).save(str(path))
+        # The file header fits; the first chunk header, which carries the
+        # string pool, does not.
+        monkeypatch.setattr(budget, "MAX_LINE_BYTES", 128)
+        with pytest.raises(TraceCorruptionError) as info:
             Trace.load(str(path))
-        # The salvage contract holds even when every line is oversized.
+        assert info.value.block == 2
         salvaged = Trace.load(str(path), salvage=True)
+        assert salvaged.events == []
         assert salvaged.corruption is not None
 
     def test_columnar_block_over_budget_is_corruption(
@@ -508,13 +512,13 @@ class TestFuzzer:
 
 class TestCorpus:
     def test_write_load_replay_roundtrip(self, tmp_path):
-        data = base_trace_bytes(SplitMix64(2))["jsonl"]
+        data = base_trace_bytes(SplitMix64(2))["ctr"]
         entry = {
             "input": "trace",
             "kind": "crash",
             "signature": "ValueError@fake.py:decode",
             "detail": "unit-test entry",
-            "codec": "jsonl",
+            "codec": "ctr",
             "data_b64": base64.b64encode(data).decode("ascii"),
             "minimized": True,
             "found_by_seed": 0,
@@ -541,10 +545,10 @@ class TestGzipSalvage:
     def test_truncated_gzip_member_is_corruption(
         self, captured_events, tmp_path
     ):
-        plain = tmp_path / "t.jsonl"
+        plain = tmp_path / "t.ctr"
         Trace(captured_events).save(str(plain))
         payload = gzip.compress(plain.read_bytes(), mtime=0)
-        torn = tmp_path / "torn.jsonl.gz"
+        torn = tmp_path / "torn.ctr.gz"
         torn.write_bytes(payload[: len(payload) - 20])
         with pytest.raises(TraceCorruptionError):
             Trace.load(str(torn))

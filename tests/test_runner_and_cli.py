@@ -156,6 +156,65 @@ class TestCLI:
             assert callable(module.main)
 
 
+@pytest.fixture(scope="module")
+def torn_trace(tmp_path_factory):
+    """A ``.ctr`` trace cut in the middle of its first chunk."""
+    from repro.engine import capture_workload
+
+    path = tmp_path_factory.mktemp("traces") / "torn.ctr"
+    capture_workload(get_workload("reduction"), seeds=(1,)).save(path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[: len(raw) // 2])
+    return str(path)
+
+
+def _one_error_line(capsys):
+    captured = capsys.readouterr()
+    errors = [
+        line for line in captured.err.splitlines() if line.startswith("error:")
+    ]
+    assert len(errors) == 1, captured.err
+    assert "Traceback" not in captured.err
+    return errors[0]
+
+
+class TestTraceFileErrors:
+    """A bad trace file ends ``trace``/``explain`` with exit 2, one line."""
+
+    @pytest.mark.parametrize("argv, salvage", [
+        (["trace", "replay"], False),
+        (["trace", "info"], True),
+        (["trace", "convert"], True),
+        (["explain", "--trace"], False),
+    ])
+    def test_torn_trace(self, torn_trace, tmp_path, capsys, argv, salvage):
+        extra = [str(tmp_path / "out.ctr")] if argv[1] == "convert" else []
+        assert cli_main(argv + [torn_trace] + extra) == 2
+        line = _one_error_line(capsys)
+        assert torn_trace in line
+        assert "block 2" in line and "byte offset" in line
+        assert ("--salvage" in line) is salvage
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "replay"], ["trace", "info"], ["explain", "--trace"],
+    ])
+    def test_missing_trace(self, tmp_path, capsys, argv):
+        missing = str(tmp_path / "missing.ctr")
+        assert cli_main(argv + [missing]) == 2
+        line = _one_error_line(capsys)
+        assert missing in line and "No such file" in line
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "replay"], ["trace", "info"], ["explain", "--trace"],
+    ])
+    def test_jsonl_trace_is_rejected(self, tmp_path, capsys, argv):
+        legacy = tmp_path / "old.jsonl"
+        legacy.write_text('{"t":"run","seed":1}\n')
+        assert cli_main(argv + [str(legacy)]) == 2
+        line = _one_error_line(capsys)
+        assert str(legacy) in line and ".ctr or .ctr.gz" in line
+
+
 class TestEntryPoints:
     @pytest.mark.parametrize("argv", [
         ["-m", "repro.workloads.runner", "--workload", "reduction"],
