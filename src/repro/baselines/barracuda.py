@@ -78,7 +78,6 @@ class Barracuda(Tool):
     ):
         self.costs = costs
         self.event_budget = event_budget
-        self.device = None
         self.events_processed = 0
         self.gave_up = False
         self.core = HBCore(
@@ -90,9 +89,6 @@ class Barracuda(Tool):
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-
-    def attach(self, device) -> None:
-        self.device = device
 
     def on_alloc(self, allocation) -> None:
         """Enforce the pinned-buffer reservation at allocation time.

@@ -35,14 +35,10 @@ class FastTrack(Tool):
     CHECK_COST = 1.0
 
     def __init__(self):
-        self.device = None
         self.core = HBCore(its=True, same_warp_ordered=False)
         self.races = self.core.races
 
     # ------------------------------------------------------------------
-
-    def attach(self, device) -> None:
-        self.device = device
 
     def on_launch_begin(self, launch: LaunchInfo) -> None:
         self.core.begin_launch(launch)

@@ -5,8 +5,8 @@ unbounded structure the event stream can grow — metadata tables and the
 columnar string pool — is capped by an operator-set budget, degrading
 exactly like ``IGuardConfig.metadata_max_entries`` does (bounded recall
 loss, never a false positive, never an abort).  iGUARD's check queue
-needs no budget: it never outlives one pending batch
-(:data:`repro.core.detector.PENDING_RECORDS` records) or one decoded
+needs no budget: it never outlives one pending batch or replay slice
+(:data:`repro.engine.replay.PENDING_RECORDS` records) or one decoded
 columnar chunk, which the block limits below bound.
 
 Environment knobs (all read per call so tests can monkeypatch):

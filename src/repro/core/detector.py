@@ -16,18 +16,20 @@ and the Tool lifecycle.  The adapter drives exactly one core, which owns
 the synchronization state as well as the metadata.
 
 The front end is one loop, :meth:`IGuard.feed`, whichever way the events
-arrive.  Live runs and bus replays append each record to a pending list
+arrive.  Live runs append each record to a pending list
 (``on_memory``/``on_sync``) and feed it every :data:`PENDING_RECORDS`
-records and at launch end; columnar replays
-(:func:`repro.core.sharding.replay_columnar_sharded`) feed each decoded
-chunk with its vectorized granules.  Inside one ``feed`` call the checks
-queue up and run as one :meth:`~repro.core.engine.DetectorCore.drain_batch`
-at the next synchronization mutation (barrier, fence, CAS/EXCH lock
-inference, launch boundary) and at the end of the call.  Between two such
-mutations each check depends only on its own granule's metadata plus the
-frozen synchronization state, so this is order-equivalent to checking
-every access on arrival: race records reach the log in stream order, and
-the queue never outlives one pending batch or one chunk.
+records and at launch end; replays (:func:`repro.engine.replay.replay`)
+feed the recorded stream in slices of the same size, and columnar
+replays (:func:`repro.core.sharding.replay_columnar_sharded`) feed each
+decoded chunk with its vectorized granules.  Inside one ``feed`` call
+the checks queue up and run as one
+:meth:`~repro.core.engine.DetectorCore.drain_batch` at the next
+synchronization mutation (barrier, fence, CAS/EXCH lock inference,
+launch boundary) and at the end of the call.  Between two such mutations
+each check depends only on its own granule's metadata plus the frozen
+synchronization state, so this is order-equivalent to checking every
+access on arrival: race records reach the log in stream order, and the
+queue never outlives one pending batch or one chunk.
 
 Performance features from the paper, all modeled:
 
@@ -53,28 +55,15 @@ from repro.core.config import DEFAULT_CONFIG, IGuardConfig
 from repro.core.contention import ContentionModel, ContentionParams
 from repro.core.uvm import ManagedMetadataSpace, UVMParams
 from repro.common.budget import mem_budget
-from repro.engine.replay import kernel_run, launch_info
+from repro.engine.replay import PENDING_RECORDS, replay_boundary
 from repro.faults.quarantine import poison as _poison
-from repro.gpu.events import (
-    AccessKind,
-    AllocEvent,
-    KernelEndEvent,
-    LaunchEvent,
-    MemoryEvent,
-    SyncEvent,
-)
+from repro.gpu.events import AccessKind, MemoryEvent, SyncEvent
 from repro.gpu.instructions import AtomicOp
 from repro.instrument.nvbit import LaunchInfo, Tool
 from repro.instrument.timing import Category
 from repro.obs.metrics import HOT
 
 __all__ = ["DetectorCosts", "LaunchStats", "IGuard", "PENDING_RECORDS"]
-
-#: Memory and sync records ``on_memory``/``on_sync`` hold before running
-#: them through :meth:`IGuard.feed` in one call: enough to pay the loop's
-#: set-up once per thousand records, few enough that the list never shows
-#: in peak memory.
-PENDING_RECORDS = 1024
 
 
 class _Front:
@@ -145,7 +134,6 @@ class IGuard(Tool):
             else ContentionParams()
         )
         self.uvm_params = uvm_params if uvm_params is not None else UVMParams()
-        self.device = None
         self.core = IGuardCore(config, self.costs)
         self.core.report_sink = self._report_sink
         # IGUARD_MEM_BUDGET: bound metadata growth by FIFO-evicting the
@@ -206,9 +194,6 @@ class IGuard(Tool):
     # ------------------------------------------------------------------
     # Tool lifecycle
     # ------------------------------------------------------------------
-
-    def attach(self, device) -> None:
-        self.device = device
 
     def on_launch_begin(self, launch: LaunchInfo) -> None:
         # A launch the stream truncated (a deadlocked kernel) never
@@ -380,9 +365,10 @@ class IGuard(Tool):
         """Run the front end over one slice of the event stream, in order.
 
         ``events`` is any iterable of stream records: the pending list
-        of a live run, or a replayed chunk whose launch boundaries,
-        allocations and native cycles arrive as records too (GPU config
-        headers and run markers carry no detector work).  ``granules``
+        of a live run, or a replayed slice or chunk whose launch
+        boundaries, allocations and native cycles arrive as records too
+        and go to :func:`repro.engine.replay.replay_boundary` (GPU
+        config headers and run markers carry no detector work).  ``granules``
         optionally supplies the precomputed granule of each memory record
         in order (a columnar chunk shifts its whole address column at
         once).
@@ -506,31 +492,9 @@ class IGuard(Tool):
             if boundary is None:
                 return
             try:
-                self._replay_boundary(boundary)
+                replay_boundary(self, boundary)
             except Exception as exc:
                 _poison(boundary, exc, "drain")
-
-    def _replay_boundary(self, event) -> None:
-        """A replayed record that is neither a memory nor a sync access."""
-        kind = type(event)
-        device = self.device
-        if kind is LaunchEvent:
-            self.on_launch_begin(launch_info(event, device))
-        elif kind is KernelEndEvent:
-            launch = self._front.launch
-            # The native account first: the end-of-launch host charges
-            # are fractions of native time.
-            launch.timing.charge(Category.NATIVE, event.native_parallel)
-            launch.timing.charge(
-                Category.NATIVE, event.native_serial, serial=True
-            )
-            if event.timed_out:
-                self.on_timeout(launch)
-            else:
-                self.on_launch_end(launch)
-            device.runs.append(kernel_run(event, launch))
-        elif kind is AllocEvent:
-            device.memory.restore(event)
 
     # ------------------------------------------------------------------
     # Reporting helpers

@@ -3,8 +3,8 @@
 :func:`replay_columnar_sharded` decodes one chunk at a time, shifts the
 chunk's whole address column to granules with numpy, and hands both to
 :meth:`repro.core.detector.IGuard.feed` — the same front-end loop live
-runs and bus replays use, so reports, statistics and Figure 13 timing
-breakdowns are identical to them.  Peak memory is one chunk, not one
+runs and :func:`repro.engine.replay.replay` use, so reports, statistics
+and Figure 13 timing breakdowns are identical to them.  Peak memory is one chunk, not one
 trace: the decoder's block limits bound a chunk, and every ``feed`` call
 ends with its check queue drained.
 

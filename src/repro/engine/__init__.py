@@ -3,7 +3,7 @@
 The engine makes the instrumented event stream a first-class artifact
 instead of an implicit callback side effect:
 
-- :mod:`repro.engine.bus` — the :class:`EventBus` the device publishes
+- :mod:`repro.engine.bus` — the :class:`EventBus` a live device publishes
   typed events into, with pluggable sinks (every existing
   :class:`~repro.instrument.nvbit.Tool` is already sink-shaped);
 - :mod:`repro.engine.trace` — the in-memory :class:`Trace` of one or more
@@ -11,7 +11,9 @@ instead of an implicit callback side effect:
 - :mod:`repro.engine.coltrace` — the columnar container (``.ctr`` /
   ``.ctr.gz``), the one on-disk trace format, decoded chunk by chunk;
 - :mod:`repro.engine.replay` — re-drive one detector over a recorded
-  trace deterministically, without re-simulating the GPU.
+  trace deterministically, without re-simulating the GPU: the stream
+  goes to the tool's replay entry,
+  :meth:`~repro.instrument.nvbit.Tool.feed`, not through a bus.
 
 Submodules that depend on :mod:`repro.workloads` are imported lazily to
 keep ``gpu.device -> engine.bus`` cycle-free.

@@ -7,8 +7,11 @@ loop.  The bus makes the event stream an explicit seam: the device
 operations, kernel completion) and any number of *sinks* consume them.
 
 A sink is anything with the :class:`~repro.instrument.nvbit.Tool` callback
-shape — every existing detector already qualifies, unchanged.  Each
-detector run attaches to its own device; several sinks share one device
+shape — every existing detector already qualifies, unchanged.  The bus
+carries live :class:`~repro.gpu.device.Device` runs only: a replay hands
+recorded records straight to :meth:`~repro.instrument.nvbit.Tool.feed`
+(:mod:`repro.engine.replay`).  Each detector run attaches to its own
+device; several sinks share one device
 only when they observe one execution together (a detector plus a
 :class:`~repro.instrument.tracer.Tracer` or
 :class:`~repro.engine.trace.TraceSink`).

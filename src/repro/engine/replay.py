@@ -1,21 +1,23 @@
-"""Record/replay: re-drive detectors from a trace, no GPU simulation.
+"""Record/replay: re-drive a detector from a trace, no GPU simulation.
 
 Capture is cheap — a :class:`~repro.engine.trace.TraceSink` rides one
 execution pass as a zero-overhead observer — and replay is deterministic:
-:func:`replay` walks the recorded stream and publishes each event on a
-fresh bus, so any detector analyses *exactly* the execution that was
-captured.  Because every tool in this codebase is a pure observer (the
-scheduler interleaving depends only on the seed, never on attached
-tools), a trace captured natively is bit-for-bit the stream a live
-detector run would have seen: replayed race sites, types, and Figure 13
-timing breakdowns match live runs exactly.
+:func:`replay` hands the recorded stream, in slices, to the tool's one
+replay entry, :meth:`~repro.instrument.nvbit.Tool.feed`, so a detector
+analyses *exactly* the execution that was captured.  Because every tool
+in this codebase is a pure observer (the scheduler interleaving depends
+only on the seed, never on attached tools), a trace captured natively is
+bit-for-bit the stream a live detector run would have seen: replayed
+race sites, types, and Figure 13 timing breakdowns match live runs
+exactly.
 
 :class:`ReplayDevice` is the minimal device stand-in detectors read
-through ``launch.device``: the hardware config and an address map rebuilt
+through ``launch.device``: the hardware config, an address map rebuilt
 from the recorded allocations (for metadata sizing and ``name[index]``
-race descriptions).  Tool failures replicate organically — Barracuda's
-memory reservation, event-budget timeout, and unsupported-feature checks
-fire during replay dispatch exactly where they fired live.
+race descriptions), and the open launch.  Tool failures replicate
+organically — Barracuda's memory reservation, event-budget timeout, and
+unsupported-feature checks fire during replay exactly where they fired
+live.
 """
 
 from __future__ import annotations
@@ -23,30 +25,21 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, List, Optional, Tuple
 
-from repro.engine.bus import EventBus
 from repro.engine.trace import RunMarker, Trace, TraceSink
-from repro.errors import (
-    DeadlockError,
-    OutOfMemoryError,
-    TimeoutError_,
-    UnsupportedFeatureError,
-)
-from repro.faults import quarantine
+from repro.errors import DeadlockError
 from repro.gpu.arch import GPUConfig, TITAN_RTX
-from repro.gpu.costs import CostParams, DEFAULT_COSTS
 from repro.gpu.device import Device, KernelRun
-from repro.gpu.events import (
-    AllocEvent,
-    KernelEndEvent,
-    LaunchEvent,
-    MemoryEvent,
-    SyncEvent,
-)
+from repro.gpu.events import AllocEvent, KernelEndEvent, LaunchEvent
 from repro.gpu.memory import WORD_BYTES, Allocation, GlobalMemory
 from repro.instrument.nvbit import LaunchInfo, Tool
 from repro.instrument.timing import Category, TimingBreakdown
 from repro.obs.metrics import HOT
 from repro.workloads.base import SIM_GPU, Workload, WorkloadResult
+
+#: Records per :meth:`~repro.instrument.nvbit.Tool.feed` call, replayed
+#: or live: enough to pay the loop's set-up once per thousand records,
+#: few enough that a slice never shows in peak memory.
+PENDING_RECORDS = 1024
 
 
 class ReplayMemory(GlobalMemory):
@@ -71,74 +64,53 @@ class ReplayDevice:
     """The device stand-in a replayed launch hangs off ``launch.device``.
 
     Mirrors the :class:`~repro.gpu.device.Device` surface detectors
-    actually touch: ``config``, ``costs``, ``memory``, the event ``bus``
-    (with the same ``tools`` alias), and completed ``runs``.
+    actually touch: ``config``, ``memory`` and completed ``runs``, plus
+    the ``launch`` a replay has open (None between launches).
     """
 
-    def __init__(
-        self,
-        config: GPUConfig = TITAN_RTX,
-        costs: CostParams = DEFAULT_COSTS,
-    ):
+    def __init__(self, config: GPUConfig = TITAN_RTX):
         self.config = config
-        self.costs = costs
         self.memory = ReplayMemory(config.memory_bytes)
-        self.bus = EventBus()
-        self.tools: List[Tool] = self.bus.sinks
         self.runs: List[KernelRun] = []
-
-    def add_tool(self, tool: Tool) -> Tool:
-        return self.bus.add_sink(tool, self)
-
-    def add_sink(self, sink):
-        return self.bus.add_sink(sink, self)
+        self.launch: Optional[LaunchInfo] = None
 
 
 def replay(
     events: Iterable,
-    tools: Iterable[Tool] = (),
+    tool: Tool,
     config: Optional[GPUConfig] = None,
     device: Optional[ReplayDevice] = None,
 ) -> ReplayDevice:
-    """Publish a recorded event stream to ``tools`` on a replay device.
+    """Feed a recorded event stream to ``tool`` on a replay device.
 
     ``events`` is a :class:`~repro.engine.trace.Trace` or any iterable of
     typed stream records; a recorded :class:`~repro.gpu.arch.GPUConfig`
     header configures the device unless ``config`` or ``device`` is given.
-    Tool failures (unsupported feature, OOM, detection timeout) propagate
-    mid-stream exactly as they would mid-execution.
+    The stream reaches :meth:`~repro.instrument.nvbit.Tool.feed` in
+    slices of :data:`PENDING_RECORDS`, so a lazy stream is never
+    materialized whole.  Tool failures (unsupported feature, OOM,
+    detection timeout) propagate mid-stream exactly as they would
+    mid-execution.
 
     Returns the device; detector state (races, timings) lives on the
-    attached tools and ``device.runs``.
+    tool and ``device.runs``.
     """
-    if device is None and config is None:
-        config, events = peek_gpu_config(events)
     if device is None:
+        if config is None:
+            config, events = peek_gpu_config(events)
         device = ReplayDevice(config)
-    for tool in tools:
-        device.add_tool(tool)
-
-    launch: Optional[LaunchInfo] = None
-    for event in events:
-        if isinstance(event, (GPUConfig, RunMarker)):
-            continue
+    tool.attach(device)
+    records = iter(events)
+    while True:
+        piece = list(itertools.islice(records, PENDING_RECORDS))
+        if not piece:
+            return device
         if HOT.enabled:
-            HOT.replay_events.inc()
-        try:
-            launch = _replay_one(device, event, launch)
-        except (
-            UnsupportedFeatureError, OutOfMemoryError, TimeoutError_,
-            DeadlockError,
-        ):
-            # Policy signals propagate mid-stream exactly as they would
-            # mid-execution (the docstring's contract).
-            raise
-        except Exception as exc:
-            # Poison-event quarantine: one malformed record must not
-            # abort a million-event replay.  poison() re-raises exempt
-            # exceptions and overflows past the absorption budget.
-            quarantine.poison(event, exc, "replay")
-    return device
+            HOT.replay_events.inc(sum(
+                1 for record in piece
+                if not isinstance(record, (GPUConfig, RunMarker))
+            ))
+        tool.feed(piece)
 
 
 def peek_gpu_config(events: Iterable) -> Tuple[GPUConfig, Iterable]:
@@ -169,65 +141,58 @@ def peek_gpu_config(events: Iterable) -> Tuple[GPUConfig, Iterable]:
     return config, itertools.chain(buffered, iterator)
 
 
-def launch_info(event: LaunchEvent, device) -> LaunchInfo:
-    """Rebuild the :class:`LaunchInfo` a recorded launch began with."""
-    return LaunchInfo(
-        kernel_name=event.kernel_name,
-        grid_dim=event.grid_dim,
-        block_dim=event.block_dim,
-        warp_size=event.warp_size,
-        warps_per_block=event.warps_per_block,
-        num_threads=event.num_threads,
-        timing=TimingBreakdown(parallelism=event.parallelism),
-        device=device,
-        seed=event.seed,
-        static_instruction_count=event.static_instruction_count,
-    )
+def replay_boundary(tool: Tool, event) -> None:
+    """Replay one record that is neither a memory nor a sync access.
 
-
-def kernel_run(event: KernelEndEvent, launch: LaunchInfo) -> KernelRun:
-    """Rebuild the :class:`KernelRun` a recorded launch ended with."""
-    return KernelRun(
-        kernel_name=event.kernel_name,
-        grid_dim=launch.grid_dim,
-        block_dim=launch.block_dim,
-        num_threads=launch.num_threads,
-        batches=event.batches,
-        instructions=event.instructions,
-        timed_out=event.timed_out,
-        timing=launch.timing,
-    )
-
-
-def _replay_one(device, event, launch: Optional[LaunchInfo]):
-    """Dispatch one trace record; returns the (possibly new) launch."""
-    if isinstance(event, AllocEvent):
-        device.bus.publish_alloc(device.memory.restore(event))
-    elif isinstance(event, LaunchEvent):
-        launch = launch_info(event, device)
-        device.bus.publish_launch_begin(launch)
-    elif isinstance(event, MemoryEvent):
-        device.bus.publish_memory(event, launch)
-    elif isinstance(event, SyncEvent):
-        device.bus.publish_sync(event, launch)
-    elif isinstance(event, KernelEndEvent):
-        # Rebuild the native account before finalizing tools: iGUARD's
-        # end-of-launch charges are fractions of native time.
+    A kernel end rebuilds the native account first: iGUARD's
+    end-of-launch charges are fractions of native time.
+    """
+    device = tool.device
+    kind = type(event)
+    if kind is LaunchEvent:
+        launch = LaunchInfo(
+            kernel_name=event.kernel_name,
+            grid_dim=event.grid_dim,
+            block_dim=event.block_dim,
+            warp_size=event.warp_size,
+            warps_per_block=event.warps_per_block,
+            num_threads=event.num_threads,
+            timing=TimingBreakdown(parallelism=event.parallelism),
+            device=device,
+            seed=event.seed,
+            static_instruction_count=event.static_instruction_count,
+        )
+        tool.on_launch_begin(launch)
+        # Opened only once the tool took it: the records after a
+        # quarantined begin never see a half-built launch.
+        device.launch = launch
+    elif kind is KernelEndEvent:
+        launch = device.launch
         launch.timing.charge(Category.NATIVE, event.native_parallel)
         launch.timing.charge(
             Category.NATIVE, event.native_serial, serial=True
         )
         if event.timed_out:
-            device.bus.publish_timeout(launch)
+            tool.on_timeout(launch)
         else:
-            device.bus.publish_launch_end(launch)
-        run = kernel_run(event, launch)
+            tool.on_launch_end(launch)
+        run = KernelRun(
+            kernel_name=event.kernel_name,
+            grid_dim=launch.grid_dim,
+            block_dim=launch.block_dim,
+            num_threads=launch.num_threads,
+            batches=event.batches,
+            instructions=event.instructions,
+            timed_out=event.timed_out,
+            timing=launch.timing,
+        )
         device.runs.append(run)
-        device.bus.publish_kernel_end(run, launch)
-        launch = None
-    else:
+        tool.on_kernel_end(run, launch)
+        device.launch = None
+    elif kind is AllocEvent:
+        tool.on_alloc(device.memory.restore(event))
+    elif kind is not GPUConfig and kind is not RunMarker:
         raise TypeError(f"unexpected trace event {event!r}")
-    return launch
 
 
 def capture_workload(
@@ -265,38 +230,30 @@ def replay_workload(
 ) -> WorkloadResult:
     """Run a detector over a captured workload trace.
 
-    The merge semantics mirror :func:`repro.workloads.runner.run_workload`
-    exactly — per-seed fresh device and tool, race sites unioned in seed
+    Each recorded seed is one run of the live runner's per-seed ladder
+    (:func:`repro.workloads.runner._run_seed`) with a replay as its
+    ``drive``: a fresh device and tool per seed, race sites unioned in seed
     order, timing averaged, and the unsupported/OOM/timeout statuses
     replicated from the tool's own failures during replay.
     """
     from repro.workloads.runner import (
-        SeedOutcome,
-        _collect_outcome,
         _merge_outcomes,
+        _run_seed,
         detector_name,
     )
 
-    name = detector_name(tool_factory)
     config = trace.gpu_config or SIM_GPU
-    outcomes = []
-    for _seed, events in trace.runs():
-        device = ReplayDevice(config)
-        tool = device.add_tool(tool_factory())
-        status, detail = "ok", ""
-        try:
-            replay(events, device=device)
-        except UnsupportedFeatureError as exc:
-            outcomes.append(
-                SeedOutcome(status="unsupported", detail=str(exc))
+
+    def outcomes():
+        # Lazy: the merge stops at the first unsupported, OOM or
+        # timeout seed, so later seeds never replay.
+        for _seed, events in trace.runs():
+            device = ReplayDevice(config)
+            tool = tool_factory()
+            yield _run_seed(
+                device, tool, lambda: replay(events, tool, device=device)
             )
-            break
-        except OutOfMemoryError as exc:
-            outcomes.append(SeedOutcome(status="oom", detail=str(exc)))
-            break
-        except TimeoutError_ as exc:
-            status, detail = "timeout", str(exc)
-        outcomes.append(_collect_outcome(device, tool, status, detail))
-        if status == "timeout":
-            break
-    return _merge_outcomes(workload_name, name, outcomes)
+
+    return _merge_outcomes(
+        workload_name, detector_name(tool_factory), outcomes()
+    )

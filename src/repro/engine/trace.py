@@ -156,6 +156,9 @@ class TraceSink(Tool):
         self._header = header
 
     def attach(self, device) -> None:
+        # No ``super().attach``: a device-sink cycle would keep a finished
+        # capture's trace alive until the next garbage collection (+2 MiB
+        # peak memory in the benchmark's stream-large set-up).
         if self._header:
             self.trace.append(device.config)
             self._header = False

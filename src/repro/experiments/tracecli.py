@@ -17,7 +17,6 @@ by the file extension):
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from repro.obs import (
@@ -32,11 +31,7 @@ def _cmd_capture(args) -> int:
     from repro.engine.replay import capture_workload
     from repro.workloads.registry import get_workload
 
-    workload = get_workload(args.workload)
-    seeds = (
-        tuple(int(s) for s in args.seeds.split(",")) if args.seeds else None
-    )
-    trace = capture_workload(workload, seeds=seeds)
+    trace = capture_workload(get_workload(args.workload), seeds=args.seeds)
     trace.save(args.out)
     output(f"captured {len(trace.events)} events to {args.out}")
     return 0
@@ -80,52 +75,24 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _replay_factory(detector: str):
-    if detector == "fasttrack":
-        from repro.baselines import FastTrack
-
-        return FastTrack
-    from repro.core.detector import IGuard
-
-    return IGuard
-
-
 def _cmd_replay(args) -> int:
     from repro.engine.replay import replay_workload
     from repro.engine.trace import Trace
+    from repro.workloads.runner import detector_factory, write_report
 
     trace = Trace.load(args.path)
-    factory = _replay_factory(args.detector)
-    result = replay_workload(trace, factory, args.workload_name)
-    output(
-        f"{result.workload} under {result.detector}: "
-        f"status={result.status} races={result.races} "
-        f"overhead={result.overhead:.2f}x"
+    result = replay_workload(
+        trace, detector_factory(args.detector), args.workload_name
     )
-    for ip, race_type in result.race_sites:
-        output(f"  [{race_type}] {ip}")
-    if args.report_json:
-        # The runner's canonical report payload, verbatim: a replay
-        # writes the file a live run of the same workload writes.
-        payload = {
-            "workload": result.workload,
-            "detector": result.detector,
-            "status": result.status,
-            "races": result.races,
-            "race_sites": [[ip, t] for ip, t in result.race_sites],
-            "overhead": result.overhead,
-            "native_time": result.native_time,
-            "total_time": result.total_time,
-            "breakdown": dict(sorted(result.breakdown.items())),
-            "detail": result.detail,
-        }
-        with open(args.report_json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    # The runner's report writer: a replay writes the file a live run
+    # of the same workload writes.
+    write_report(result, args.report_json, get_logger("trace"))
     return 0
 
 
 def main(argv=None) -> int:
+    from repro.workloads.registry import seed_list, workload_name
+
     parser = argparse.ArgumentParser(
         prog="iguard-experiments trace",
         description="Capture, convert, inspect and replay trace files.",
@@ -136,7 +103,7 @@ def main(argv=None) -> int:
         "capture", help="record a workload's event stream to a trace file"
     )
     capture.add_argument(
-        "--workload", required=True, metavar="NAME",
+        "--workload", required=True, metavar="NAME", type=workload_name,
         help="a Table 4/5 workload name (see repro.workloads.REGISTRY)",
     )
     capture.add_argument(
@@ -144,7 +111,7 @@ def main(argv=None) -> int:
         help="output trace (.ctr, or .ctr.gz gzipped)",
     )
     capture.add_argument(
-        "--seeds", default=None, metavar="S1,S2",
+        "--seeds", default=None, metavar="S1,S2", type=seed_list,
         help="scheduler seeds (default: the workload's pinned seeds)",
     )
 

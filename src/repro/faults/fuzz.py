@@ -7,7 +7,7 @@ Two generators, one oracle:
   scoped atomics (R1), warp barriers under ITS (R2), block barriers
   (R3), fences (R4), and plain conflicting accesses.  Each program is
   captured once and replayed through both ways iGUARD's front-end loop
-  is fed — bus replay (records batched through the pending list) and
+  is fed — :func:`~repro.engine.replay.replay` (record slices) and
   columnar replay (chunks with vectorized granules) — plus a serial
   FastTrack leg that must neither crash nor hang.  Any crash, per-input
   wall-clock blowout, report divergence between the iGUARD legs, or
@@ -249,7 +249,7 @@ def differential_check(statements: List[list]) -> Optional[Dict]:
         def _replay_tool(factory):
             def _run():
                 tool = factory()
-                replay(events, tools=[tool])
+                replay(events, tool)
                 return tool
 
             return _run

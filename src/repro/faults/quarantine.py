@@ -13,12 +13,14 @@ invent one.
 
 Wrap points (all per-event):
 
-- :func:`repro.engine.replay.replay` — the bus-publish loop;
+- :meth:`repro.instrument.nvbit.Tool.feed` — the replay entry of every
+  tool that does not override it (stage ``"replay"``);
 - :meth:`repro.core.detector.IGuard.feed` — iGUARD's front-end loop,
-  which live runs, bus replays and columnar replays all feed;
+  which live runs, sliced replays and columnar replays all feed
+  (stage ``"drain"``);
 - :meth:`repro.core.engine.DetectorCore.handle` and the ``check_run``
   drain loop — the check itself, shared by every backend, so a poison
-  event that survives the front end quarantines *identically* in bus
+  event that survives the front end quarantines *identically* in sliced
   and columnar replays (byte-identical reports on all non-quarantined
   records).
 
@@ -120,9 +122,9 @@ def snapshot() -> dict:
     """Deterministic, mode-agnostic summary for report blocks.
 
     Deliberately excludes the wrap-point stage: the same poison event
-    can surface at the replay loop or at the front-end loop, and the
-    report block must stay byte-identical across replay modes.  Stages live in the bounded :func:`examples` forensics and
-    the logs.
+    can surface at a replay entry or at the check core, and the report
+    block must stay byte-identical across replay modes.  Stages live in
+    the bounded :func:`examples` forensics and the logs.
     """
     return {
         "events": _STATE.events,

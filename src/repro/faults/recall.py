@@ -221,6 +221,7 @@ def main(argv=None) -> int:
         begin_observability,
         finalize_observability,
     )
+    from repro.faults.workloads import pattern_names
     from repro.obs.log import output
 
     parser = argparse.ArgumentParser(
@@ -228,7 +229,7 @@ def main(argv=None) -> int:
         description="Detection-power gate: run iGUARD over injected races.",
     )
     parser.add_argument(
-        "--workloads", default=None, metavar="A,B",
+        "--workloads", default=None, metavar="A,B", type=pattern_names,
         help="pattern workloads to gate (default: all)",
     )
     parser.add_argument(
@@ -248,9 +249,8 @@ def main(argv=None) -> int:
 
     log_run_config(backend="iguard")
 
-    names = args.workloads.split(",") if args.workloads else None
     report = run_recall(
-        workload_names=names,
+        workload_names=args.workloads,
         mutants=args.mutants,
         seed=args.seed,
     )

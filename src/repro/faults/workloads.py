@@ -18,7 +18,8 @@ missed mutant is a detection regression, never scheduler luck.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+import argparse
+from typing import Dict, List, Optional, Tuple
 
 from repro.faults.mutators import MutationSpec
 from repro.gpu.instructions import (
@@ -288,6 +289,14 @@ def get_pattern(name: str) -> PatternWorkload:
         known = ", ".join(sorted(_BY_NAME))
         raise KeyError(f"unknown fault pattern {name!r} (known: {known})")
     return pattern
+
+
+def pattern_names(text: str) -> List[str]:
+    """An argparse ``type=`` for ``--workloads A,B``: known pattern names."""
+    try:
+        return [get_pattern(name).name for name in text.split(",")]
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
 
 
 def total_mutations(patterns=FAULT_PATTERNS) -> int:

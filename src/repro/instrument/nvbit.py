@@ -18,11 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.faults.quarantine import poison
+from repro.gpu.events import MemoryEvent, SyncEvent
 from repro.instrument.timing import TimingBreakdown
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.gpu.device import Device
-    from repro.gpu.events import MemoryEvent, SyncEvent
     from repro.gpu.memory import Allocation
 
 
@@ -49,15 +50,44 @@ class LaunchInfo:
 class Tool:
     """Base class for instrumentation tools; all callbacks default to no-ops.
 
+    A live :class:`~repro.gpu.device.Device` calls the callbacks through
+    its event bus; a replay hands recorded records to :meth:`feed`.
+
     Subclasses: :class:`repro.core.detector.IGuard`,
     :class:`repro.baselines.barracuda.Barracuda`, and the test utilities.
     """
 
     #: Human-readable tool name used in experiment output.
     name: str = "tool"
+    #: The device the tool is attached to; set by :meth:`attach`.
+    device = None
 
     def attach(self, device: "Device") -> None:
         """Called when the tool is registered with a device."""
+        self.device = device
+
+    def feed(self, records) -> None:
+        """Replay one slice of a recorded stream (the one replay entry).
+
+        Memory and sync records go to :meth:`on_memory`/:meth:`on_sync`
+        with the device's open launch, every other record to
+        :func:`repro.engine.replay.replay_boundary`; a record that raises
+        is quarantined (:mod:`repro.faults.quarantine`).
+        """
+        from repro.engine.replay import replay_boundary
+
+        device = self.device
+        for record in records:
+            kind = type(record)
+            try:
+                if kind is MemoryEvent:
+                    self.on_memory(record, device.launch)
+                elif kind is SyncEvent:
+                    self.on_sync(record, device.launch)
+                else:
+                    replay_boundary(self, record)
+            except Exception as exc:
+                poison(record, exc, "replay")
 
     def on_alloc(self, allocation: "Allocation") -> None:
         """Called on each application ``cudaMalloc`` (section 6.1)."""
@@ -65,10 +95,10 @@ class Tool:
     def on_launch_begin(self, launch: LaunchInfo) -> None:
         """Called before the first instruction of a kernel executes."""
 
-    def on_memory(self, event: "MemoryEvent", launch: LaunchInfo) -> None:
+    def on_memory(self, event: MemoryEvent, launch: LaunchInfo) -> None:
         """Called after every load/store/atomic."""
 
-    def on_sync(self, event: "SyncEvent", launch: LaunchInfo) -> None:
+    def on_sync(self, event: SyncEvent, launch: LaunchInfo) -> None:
         """Called after every fence and on each barrier completion."""
 
     def on_launch_end(self, launch: LaunchInfo) -> None:

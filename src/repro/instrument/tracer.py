@@ -58,10 +58,6 @@ class Tracer(Tool):
         self.lines: List[TraceLine] = []
         self.dropped = 0
         self._counter = 0
-        self._device = None
-
-    def attach(self, device) -> None:
-        self._device = device
 
     @classmethod
     def from_trace(cls, trace, **kwargs) -> "Tracer":
@@ -69,7 +65,8 @@ class Tracer(Tool):
 
         ``trace`` is a :class:`~repro.engine.trace.Trace` (or any iterable
         of stream records), or a path to a saved trace file — paths are
-        streamed lazily, chunk by chunk, rather than loaded whole; the tracer observes the stream through
+        streamed lazily, chunk by chunk, rather than loaded whole; the
+        tracer observes the stream through
         :func:`repro.engine.replay.replay` instead of a live device.
         """
         from repro.engine.replay import replay
@@ -79,7 +76,7 @@ class Tracer(Tool):
 
             trace = stream_events(trace)
         tracer = cls(**kwargs)
-        replay(trace, tools=[tracer])
+        replay(trace, tracer)
         return tracer
 
     # ------------------------------------------------------------------

@@ -268,21 +268,19 @@ def explain_trace(
     """
     from repro.core.config import DEFAULT_CONFIG
     from repro.core.detector import IGuard
-    from repro.engine.replay import ReplayDevice, replay
+    from repro.engine.replay import replay
     from repro.errors import TimeoutError_
     from repro.workloads.base import SIM_GPU
 
     gpu = trace.gpu_config or SIM_GPU
     reports: List[RaceForensics] = []
     for seed, events in trace.runs():
-        device = ReplayDevice(gpu)
         probe = ForensicProbe(site=site, window=window)
         probe.seed = seed
         tool = IGuard(config=config or DEFAULT_CONFIG)
         tool.probe = probe
-        device.add_tool(tool)
         try:
-            replay(events, device=device)
+            replay(events, tool, config=gpu)
         except TimeoutError_:
             pass  # races up to the timeout stand, like the live runner's
         reports.extend(probe.reports)
@@ -470,6 +468,7 @@ def main(argv=None) -> int:
         begin_observability,
         finalize_observability,
     )
+    from repro.workloads.registry import seed_list, workload_name
 
     parser = argparse.ArgumentParser(
         prog="iguard-experiments explain",
@@ -484,7 +483,7 @@ def main(argv=None) -> int:
              "ip; default: every race in the trace)",
     )
     parser.add_argument(
-        "--workload", default=None, metavar="NAME",
+        "--workload", default=None, metavar="NAME", type=workload_name,
         help="Table 4 workload to capture a trace from",
     )
     parser.add_argument(
@@ -492,7 +491,7 @@ def main(argv=None) -> int:
         help="previously recorded trace (.ctr / .ctr.gz) to replay",
     )
     parser.add_argument(
-        "--seeds", default=None, metavar="S1,S2",
+        "--seeds", default=None, metavar="S1,S2", type=seed_list,
         help="scheduler seeds when capturing (default: the workload's)",
     )
     parser.add_argument(
@@ -523,12 +522,10 @@ def main(argv=None) -> int:
         trace = Trace.load(args.trace)
         reports = explain_trace(trace, site=args.site, window=args.window)
     else:
-        seeds = (
-            tuple(int(s) for s in args.seeds.split(",")) if args.seeds else None
-        )
         logger.info("capturing %s, then explaining via replay", args.workload)
         reports = explain_workload(
-            args.workload, site=args.site, seeds=seeds, window=args.window
+            args.workload, site=args.site, seeds=args.seeds,
+            window=args.window,
         )
 
     finalize_observability(args)

@@ -14,7 +14,8 @@ Rodinia, plus warpAA) the registry holds 43 workloads.
 
 from __future__ import annotations
 
-from typing import Dict, List
+import argparse
+from typing import Dict, List, Tuple
 
 from repro.workloads import (
     cg_suite,
@@ -54,6 +55,18 @@ if len(_BY_NAME) != len(REGISTRY):  # pragma: no cover - authoring guard
 def get_workload(name: str) -> Workload:
     """Look a workload up by its Table 4/5 name."""
     return _BY_NAME[name]
+
+
+def workload_name(name: str) -> str:
+    """An argparse ``type=``: ``name`` if the registry holds it."""
+    if name not in _BY_NAME:
+        raise argparse.ArgumentTypeError(f"unknown workload {name!r}")
+    return name
+
+
+def seed_list(text: str) -> Tuple[int, ...]:
+    """An argparse ``type=`` for ``--seeds S1,S2``: the seeds as ints."""
+    return tuple(int(seed) for seed in text.split(","))
 
 
 def racy_workloads() -> List[Workload]:

@@ -14,7 +14,9 @@ device, optionally with a detector attached, and returns a
 
 Seeds run serially, in order: each (workload, detector, seed) cell runs
 on a fresh device (:func:`_run_one_seed` → a :class:`SeedOutcome`) and
-:func:`_merge_outcomes` folds the outcomes into one result.
+:func:`_merge_outcomes` folds the outcomes into one result.  The
+per-seed status ladder, :func:`_run_seed`, is shared with
+:func:`repro.engine.replay.replay_workload`, whose seeds are replays.
 """
 
 from __future__ import annotations
@@ -82,12 +84,31 @@ def _run_one_seed(
         HOT.runner_cells.inc()
     span_start = now_us() if TRACER.enabled else 0.0
     device = Device(config)
-    tool = None
-    if tool_factory is not None:
-        tool = device.add_tool(tool_factory())
+    tool = device.add_tool(tool_factory()) if tool_factory else None
+    outcome = _run_seed(device, tool, lambda: workload.run(device, seed))
+    if TRACER.enabled and outcome.status not in ("unsupported", "oom"):
+        TRACER.add_complete(
+            f"seed:{workload.name}:{detector_name(tool_factory)}:s{seed}",
+            span_start,
+            now_us() - span_start,
+            cat="seed",
+            tid=TRACER.tid_for("seeds"),
+            args={"status": outcome.status},
+        )
+    return outcome
+
+
+def _run_seed(device, tool, drive: Callable[[], object]) -> SeedOutcome:
+    """Run one seed's ``drive`` — an execution or a replay — to an outcome.
+
+    The status ladder: an unsupported feature or an OOM discards the
+    seed, a timeout keeps the races and timing up to it, and a deadlock
+    (a racy kernel's legitimate outcome) keeps them with a ``detail``.
+    Races come from ``tool`` and timing from ``device.runs``.
+    """
     status, detail = "ok", ""
     try:
-        workload.run(device, seed)
+        drive()
     except UnsupportedFeatureError as exc:
         return SeedOutcome(status="unsupported", detail=str(exc))
     except OutOfMemoryError as exc:
@@ -95,23 +116,7 @@ def _run_one_seed(
     except TimeoutError_ as exc:
         status, detail = "timeout", str(exc)
     except DeadlockError as exc:
-        # A racy kernel deadlocking is a legitimate observation; the
-        # detector's races up to that point stand.
         detail = f"deadlock: {exc}"
-    if TRACER.enabled:
-        TRACER.add_complete(
-            f"seed:{workload.name}:{detector_name(tool_factory)}:s{seed}",
-            span_start,
-            now_us() - span_start,
-            cat="seed",
-            tid=TRACER.tid_for("seeds"),
-            args={"status": status},
-        )
-    return _collect_outcome(device, tool, status, detail)
-
-
-def _collect_outcome(device, tool, status: str, detail: str) -> SeedOutcome:
-    """Harvest races and timing from a finished (or timed-out) seed."""
     outcome = SeedOutcome(status=status, detail=detail)
     races = getattr(tool, "races", None)
     if races is not None:
@@ -123,7 +128,11 @@ def _collect_outcome(device, tool, status: str, detail: str) -> SeedOutcome:
         outcome.overhead = total / native if native > 0 else 1.0
         outcome.native_time = native
         outcome.total_time = total
-        outcome.breakdown = _sum_breakdowns(device)
+        for run in device.runs:
+            for category, time in run.timing.snapshot().items():
+                outcome.breakdown[category] = (
+                    outcome.breakdown.get(category, 0.0) + time
+                )
     return outcome
 
 
@@ -229,15 +238,6 @@ def run_suite(requests, config: GPUConfig = SIM_GPU) -> List[WorkloadResult]:
     ]
 
 
-def _sum_breakdowns(device: Device) -> dict:
-    """Aggregate per-category times over all kernel launches of a run."""
-    totals: dict = {}
-    for run in device.runs:
-        for category, time in run.timing.snapshot().items():
-            totals[category] = totals.get(category, 0.0) + time
-    return totals
-
-
 def measured_overhead(
     workload: Workload,
     tool_factory: ToolFactory,
@@ -268,14 +268,15 @@ def main(argv=None) -> int:
         begin_observability,
         finalize_observability,
     )
-    from repro.obs.log import get_logger, output
+    from repro.obs.log import get_logger
+    from repro.workloads.registry import seed_list, workload_name
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.workloads.runner",
         description="Run one workload under one detector.",
     )
     parser.add_argument(
-        "--workload", required=True, metavar="NAME",
+        "--workload", required=True, metavar="NAME", type=workload_name,
         help="a Table 4/5 workload name (see repro.workloads.REGISTRY)",
     )
     parser.add_argument(
@@ -288,7 +289,7 @@ def main(argv=None) -> int:
              "canonical JSON to PATH",
     )
     parser.add_argument(
-        "--seeds", default=None, metavar="S1,S2",
+        "--seeds", default=None, metavar="S1,S2", type=seed_list,
         help="scheduler seeds (default: the workload's pinned seeds)",
     )
     add_observability_args(parser)
@@ -296,25 +297,42 @@ def main(argv=None) -> int:
     begin_observability(args)
     logger = get_logger("runner")
 
-    from repro.baselines import Barracuda, CURD, FastTrack, ScoRD
-    from repro.core.detector import IGuard
     from repro.obs.log import log_run_config
     from repro.workloads.registry import get_workload
 
-    factory: ToolFactory = {
+    workload = get_workload(args.workload)
+    log_run_config(backend=args.detector, logger=logger)
+    result = run_workload(
+        workload, detector_factory(args.detector), seeds=args.seeds
+    )
+    write_report(result, args.report_json, logger)
+    finalize_observability(args)
+    return 0
+
+
+def detector_factory(detector: str) -> ToolFactory:
+    """The factory behind a ``--detector`` name of the runner's CLIs."""
+    from repro.baselines import Barracuda, CURD, FastTrack, ScoRD
+    from repro.core.detector import IGuard
+
+    return {
         "iguard": IGuard,
         "barracuda": Barracuda,
         "scord": ScoRD,
         "curd": CURD,
         "fasttrack": FastTrack,
         "native": None,
-    }[args.detector]
-    workload = get_workload(args.workload)
-    seeds = (
-        tuple(int(s) for s in args.seeds.split(",")) if args.seeds else None
-    )
-    log_run_config(backend=args.detector, logger=logger)
-    result = run_workload(workload, factory, seeds=seeds)
+    }[detector]
+
+
+def write_report(result: WorkloadResult, path: Optional[str], logger) -> None:
+    """Print a merged result and, with ``path``, write it as canonical
+    JSON: the report writer of the runner and ``trace replay``."""
+    import json
+
+    from repro.faults import quarantine
+    from repro.obs.log import output
+
     output(
         f"{result.workload} under {result.detector}: "
         f"status={result.status} races={result.races} "
@@ -324,36 +342,31 @@ def main(argv=None) -> int:
         output(f"  [{race_type}] {ip}")
     if result.detail:
         logger.info("detail: %s", result.detail)
-    from repro.faults import quarantine
-
     quarantine_block = quarantine.report_block()
     if quarantine_block is not None:
         logger.warning(
             "quarantine: %d poison event(s) absorbed",
             quarantine_block["events"],
         )
-    if args.report_json:
-        import json
-
-        payload = {
-            "workload": result.workload,
-            "detector": result.detector,
-            "status": result.status,
-            "races": result.races,
-            "race_sites": [[ip, t] for ip, t in result.race_sites],
-            "overhead": result.overhead,
-            "native_time": result.native_time,
-            "total_time": result.total_time,
-            "breakdown": dict(sorted(result.breakdown.items())),
-            "detail": result.detail,
-        }
-        if quarantine_block is not None:
-            payload["quarantine"] = quarantine_block
-        with open(args.report_json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    finalize_observability(args)
-    return 0
+    if not path:
+        return
+    payload = {
+        "workload": result.workload,
+        "detector": result.detector,
+        "status": result.status,
+        "races": result.races,
+        "race_sites": [[ip, t] for ip, t in result.race_sites],
+        "overhead": result.overhead,
+        "native_time": result.native_time,
+        "total_time": result.total_time,
+        "breakdown": dict(sorted(result.breakdown.items())),
+        "detail": result.detail,
+    }
+    if quarantine_block is not None:
+        payload["quarantine"] = quarantine_block
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 if __name__ == "__main__":

@@ -249,7 +249,7 @@ class TestReplayEquivalence:
     @pytest.mark.parametrize("name", RACY[:2] + RACE_FREE[:1])
     def test_streaming_drain_matches_serial_sites(self, name, tmp_path):
         # The chunk-streaming replay (vectorized granules, one front-end
-        # loop fed per chunk) must find exactly bus replay's races.
+        # loop fed per chunk) must find exactly sliced replay's races.
         workload = get_workload(name)
         trace = capture_workload(workload, seeds=workload.seeds[:1])
         path = tmp_path / "t.ctr"

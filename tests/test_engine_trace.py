@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import Barracuda
+from repro.baselines import CURD, Barracuda
 from repro.core import IGuard
 from repro.engine import Trace, TraceSink, capture_workload, replay, replay_workload
 from repro.engine.coltrace import read_events, write_columnar
@@ -85,6 +85,32 @@ class TestReplayMatchesLive:
         live_bar = run_workload(workload, Barracuda, seeds=(1,))
         assert ig.race_sites == live_ig.race_sites
         assert bar.race_sites == live_bar.race_sites
+
+    @pytest.mark.parametrize("factory", [Barracuda, CURD], ids=["Barracuda", "CURD"])
+    @pytest.mark.parametrize("name", ["hashtable", "warpAA", "interac"])
+    def test_hb_replay_equals_live(self, factory, name):
+        # Through Tool.feed: an ok run, an unsupported scoped atomic, and
+        # Barracuda's event-budget timeout (CURD's fallback recharge).
+        workload = get_workload(name)
+        live = run_workload(workload, factory)
+        trace = capture_workload(workload)
+        assert replay_workload(trace, factory, workload.name) == live
+
+    def test_replay_events_counter(self):
+        # Records replayed, headers and run markers excluded.
+        from repro.obs import metrics
+
+        workload = get_workload("reduction")
+        trace = capture_workload(workload)
+        metrics.set_enabled(True)
+        metrics.get_registry().reset()
+        try:
+            replay_workload(trace, IGuard, workload.name)
+            snapshot = metrics.get_registry().snapshot()
+        finally:
+            metrics.set_enabled(False)
+            metrics.get_registry().reset()
+        assert snapshot["replay.events"]["value"] == 927
 
     def test_tracer_from_trace(self):
         workload = get_workload("b_scan")

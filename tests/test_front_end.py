@@ -1,7 +1,7 @@
 """iGUARD's one front-end loop, pinned from every way it is fed.
 
-Live runs, bus replays and columnar replays all run
-:meth:`repro.core.detector.IGuard.feed`.  Three contracts:
+Live runs, sliced replays (:func:`repro.engine.replay.replay`) and
+columnar replays all run :meth:`repro.core.detector.IGuard.feed`.  Three contracts:
 
 - **golden reports** — ``tests/golden/front_end_reports.json`` pins, for
   ``IGuard`` and ``ScoRD`` (whose per-access costs are fractional) on
@@ -10,13 +10,13 @@ Live runs, bus replays and columnar replays all run
   parallel and serial cycles of every Figure 13 category as
   ``float.hex``.  The file was recorded from an implementation that
   checked and charged each access the moment it arrived; the live
-  runner, bus replay and columnar replay must each reproduce it
+  runner, sliced replay and columnar replay must each reproduce it
   exactly;
 - **truncated streams** — a stream that ends mid-launch (a torn trace,
   or a deadlock that cut the capture) still has every check of that
   launch run and reported;
 - **metrics** — the front end's ``detector.*`` counters come out equal
-  whether the stream is replayed from the bus or from columnar chunks.
+  whether the stream is replayed in slices or from columnar chunks.
 
 Regenerate the golden file (only when detection or cost semantics are
 meant to change)::
@@ -126,7 +126,7 @@ def _events(workload):
 
 def _bus(events, detector):
     tool = _recorder(detector)()
-    replay(events, tools=[tool])
+    replay(events, tool)
     return _report(tool)
 
 
@@ -191,7 +191,7 @@ class TestTruncatedStream:
         del events[last_end]
         if feed == "bus":
             tool = IGuard()
-            replay(events, tools=[tool])
+            replay(events, tool)
         else:
             path = tmp_path / "torn.ctr"
             save_columnar(events, path, chunk_rows=256)
@@ -228,7 +228,7 @@ class TestMetricFold:
             snapshot = registry.snapshot()
             return tuple(snapshot[n]["value"] for n in FRONT_END_COUNTERS)
 
-        bus = counters(lambda: replay(events, tools=[IGuard()]))
+        bus = counters(lambda: replay(events, IGuard()))
         columnar = counters(lambda: replay_columnar_sharded(str(path)))
         assert bus == columnar
         # 298 metadata-lock stalls, as counted access by access.

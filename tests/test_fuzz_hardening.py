@@ -248,7 +248,7 @@ class TestPoisonByteIdentity:
 
         def serial():
             tool = IGuard()
-            replay(events, tools=[tool])
+            replay(events, tool)
             return tool
 
         legs = {
@@ -273,7 +273,7 @@ class TestPoisonByteIdentity:
     @staticmethod
     def _replay(events):
         tool = IGuard()
-        replay(events, tools=[tool])
+        replay(events, tool)
         return tool
 
     def test_disabled_quarantine_aborts_every_mode(
@@ -282,7 +282,7 @@ class TestPoisonByteIdentity:
         monkeypatch.setenv("IGUARD_QUARANTINE", "0")
         events = _poisoned(captured_events)
         with pytest.raises(TypeError):
-            replay(events, tools=[IGuard()])
+            replay(events, IGuard())
         with pytest.raises(TypeError):
             _routed(events)
 
@@ -310,7 +310,7 @@ class TestMemBudget:
     ):
         def run():
             tool = IGuard()
-            replay(captured_events, tools=[tool])
+            replay(captured_events, tool)
             return _sites(tool)
 
         monkeypatch.delenv("IGUARD_MEM_BUDGET", raising=False)
@@ -410,10 +410,10 @@ class TestQueueBackpressure:
         assert sliced == reference
 
     def test_batched_driver_cap_identical(self, captured_events):
-        # Bus replay versus five-record slices fed without granules.
+        # replay() versus five-record slices fed without granules.
         def serial():
             tool = IGuard()
-            replay(captured_events, tools=[tool])
+            replay(captured_events, tool)
             return tool
 
         reference = _leg(serial)

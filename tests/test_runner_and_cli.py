@@ -246,3 +246,83 @@ class TestEntryPoints:
         ])
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+
+def _argparse_exit(main, argv, capsys):
+    """Run ``main(argv)``; it must exit 2 with one ``error:`` line."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1, captured.err
+    assert "Traceback" not in captured.err
+    return errors[0]
+
+
+class TestArgumentErrors:
+    """A bad workload name or seed list exits 2 with one error line."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--workload", "nope"], "unknown workload 'nope'"),
+        (["--workload", "reduction", "--seeds", "x"], "value: 'x'"),
+    ])
+    def test_runner(self, capsys, argv, message):
+        from repro.workloads.runner import main
+
+        assert message in _argparse_exit(main, argv, capsys)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--workload", "nope"], "unknown workload 'nope'"),
+        (["--workload", "reduction", "--seeds", "1,x"], "value: '1,x'"),
+    ])
+    def test_trace_capture(self, capsys, tmp_path, argv, message):
+        argv = ["trace", "capture", "--out", str(tmp_path / "t.ctr")] + argv
+        assert message in _argparse_exit(cli_main, argv, capsys)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--workload", "nope"], "unknown workload 'nope'"),
+        (["--workload", "reduction", "--seeds", "x"], "value: 'x'"),
+    ])
+    def test_explain(self, capsys, argv, message):
+        assert message in _argparse_exit(cli_main, ["explain"] + argv, capsys)
+
+    def test_recall(self, capsys):
+        from repro.faults.recall import main
+
+        line = _argparse_exit(main, ["--workloads", "nope"], capsys)
+        assert "unknown fault pattern 'nope'" in line
+
+
+class TestReplayReport:
+    def test_trace_replay_writes_the_quarantine_block(self, tmp_path):
+        # The runner's report writer: a replay that absorbed a poison
+        # event reports it exactly as a live run would.
+        import json
+
+        from repro.engine import capture_workload
+        from repro.engine.coltrace import save_columnar
+        from repro.faults import quarantine
+        from repro.gpu.events import LaunchEvent, MemoryEvent
+
+        workload = get_workload("reduction")
+        events = list(capture_workload(workload, seeds=workload.seeds[:1]))
+        first_memory = next(
+            i for i, e in enumerate(events) if isinstance(e, MemoryEvent)
+        )
+        first_launch = next(
+            i for i, e in enumerate(events) if isinstance(e, LaunchEvent)
+        )
+        events.insert(first_launch, events.pop(first_memory))
+        path = tmp_path / "poison.ctr"
+        save_columnar(events, path)
+        report = tmp_path / "r.json"
+        quarantine.reset()
+        try:
+            assert cli_main([
+                "trace", "replay", str(path), "--report-json", str(report),
+            ]) == 0
+        finally:
+            quarantine.reset()
+        payload = json.loads(report.read_text())
+        assert payload["quarantine"] == {"events": 1, "kinds": {"TypeError": 1}}

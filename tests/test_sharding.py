@@ -1,7 +1,8 @@
 """Columnar replay: iGUARD's front end fed one decoded chunk at a time.
 
-Bus replay feeds :meth:`IGuard.feed` from the pending list, columnar
-replay feeds it each chunk with vectorized granules.  These tests pin
+:func:`repro.engine.replay.replay` feeds :meth:`IGuard.feed` the stream
+in record slices, columnar replay feeds it each chunk with vectorized
+granules.  These tests pin
 the two feeders against each other on real workloads: race sites and
 checked-event counts match, and — because every call drains its one
 queue in stream order — the dynamic race records reach the log in
@@ -38,7 +39,7 @@ class TestBatchedDrain:
         events = list(next(iter(trace.runs()))[1])
 
         serial_tool = IGuard()
-        replay(events, tools=[serial_tool])
+        replay(events, serial_tool)
         path = tmp_path / "t.ctr"
         save_columnar(events, path, chunk_rows=256)
         outcome = replay_columnar_sharded(str(path))
@@ -59,7 +60,7 @@ class TestBatchedDrain:
 class TestRecordOrder:
     def test_drain_records_equal_serial_on_racy_basket(self, tmp_path):
         # One queue drained in stream order: every dynamic record, in
-        # order, exactly as bus replay reports it — with ordinary chunks
+        # order, exactly as sliced replay reports it — with ordinary chunks
         # and with chunks of 7 rows, which split launches and sync
         # intervals at arbitrary points.
         total = 0
@@ -67,7 +68,7 @@ class TestRecordOrder:
             trace = capture_workload(workload, seeds=workload.seeds[:1])
             events = list(trace)
             serial = IGuard()
-            replay(events, tools=[serial])
+            replay(events, serial)
             expected = serial.races.records()
 
             for chunk_rows in (256, 7):

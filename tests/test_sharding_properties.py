@@ -116,7 +116,7 @@ class TestDrainsEqualSerial:
         expected = _report(live)
 
         replayed = IGuard()
-        replay(events, tools=[replayed])
+        replay(events, replayed)
         assert _report(replayed) == expected, (phases, seed)
 
         with tempfile.TemporaryDirectory() as tmp:
