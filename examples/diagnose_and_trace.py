@@ -1,21 +1,24 @@
-"""Diagnosing a race end to end: detector + diagnosis + event trace.
+"""Explaining a race end to end: record once, then ``explain`` it.
 
 Workflow a developer would actually use:
 
-1. run the kernel with iGUARD attached — it reports a racy site;
-2. ask :mod:`repro.core.diagnose` what the race *means* and how to fix it;
-3. re-run with a :class:`~repro.instrument.Tracer` watchpoint on the racy
-   address to see exactly which accesses interleaved around it.
+1. run the kernel once with a :class:`~repro.engine.TraceSink` attached,
+   recording the event stream;
+2. replay the recording under iGUARD with
+   :func:`~repro.obs.forensics.explain_trace`: each reported race comes
+   back with the Table 2 condition that fired, its canonical fix, the
+   racing instruction pair, and the metadata transitions of the racy
+   granule — the accesses that interleaved around it.
 
 Run with::
 
     python examples/diagnose_and_trace.py
 """
 
-from repro import Device, IGuard
-from repro.core.diagnose import report
+from repro import Device
+from repro.engine import TraceSink
 from repro.gpu import atomic_add, atomic_load, load, store
-from repro.instrument import Tracer
+from repro.obs.forensics import explain_trace, render_report
 
 
 def pipeline(ctx, results, ready, out):
@@ -32,29 +35,24 @@ def pipeline(ctx, results, ready, out):
 
 
 def main():
-    # Step 1: detect.
+    # Step 1: record.
+    seed = 5
+    sink = TraceSink()
+    sink.mark_run(seed)
     device = Device()
-    detector = device.add_tool(IGuard())
+    device.add_tool(sink)
     results = device.alloc("results", 4, init=0)
     ready = device.alloc("ready", 1, init=0)
     out = device.alloc("out", 1, init=0)
     device.launch(pipeline, grid_dim=2, block_dim=32,
-                  args=(results, ready, out), seed=5)
+                  args=(results, ready, out), seed=seed)
 
-    # Step 2: diagnose.
-    print(report(detector))
-
-    # Step 3: trace the racy address on a fresh run.
-    racy_address = detector.races.records()[0].address
-    device = Device()
-    tracer = device.add_tool(Tracer(address_filter=racy_address))
-    results = device.alloc("results", 4, init=0)
-    ready = device.alloc("ready", 1, init=0)
-    out = device.alloc("out", 1, init=0)
-    device.launch(pipeline, grid_dim=2, block_dim=32,
-                  args=(results, ready, out), seed=5)
-    print("event trace for the racy location:")
-    print(tracer.render())
+    # Step 2: explain every reported race from the recording.
+    reports = explain_trace(sink.trace)
+    print(f"{len(reports)} race report(s):")
+    for forensics in reports:
+        print()
+        print(render_report(forensics))
 
 
 if __name__ == "__main__":

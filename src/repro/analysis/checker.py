@@ -41,8 +41,8 @@ dynamic checks' own short circuits:
   cross-block block-scoped atomic (R1 ignores fences entirely).
 
 Anything not proven safe is classified with the paper's taxonomy (AS /
-ITS / BR / DR, plus IL for lock-inference candidates) and paired with a
-GPURepair-style fix hint.
+ITS / BR / DR, plus IL for lock-inference candidates) and paired with the
+race type's fix from :data:`repro.core.report.CAUSE_OF`.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from repro.analysis.extract import (
     ThreadTrace,
 )
 from repro.analysis.phases import GranuleFacts, SiteRecord, granule_facts
+from repro.core.report import CAUSE_OF, RaceType
 from repro.gpu.events import AccessKind
 from repro.gpu.instructions import AtomicOp, Scope, scope_covers
 
@@ -67,20 +68,6 @@ PAIR_BUDGET = 200_000
 
 #: Race-type labels, matching repro.core.report.RaceType values.
 AS, ITS, BR, DR, IL = "AS", "ITS", "BR", "DR", "IL"
-
-_FIX_HINTS = {
-    AS: "promote the atomic's scope to device (atomicAdd_system/"
-        "cuda::thread_scope_device) so cross-block accesses are covered",
-    ITS: "insert __syncwarp() between the conflicting accesses "
-         "(independent thread scheduling breaks lockstep ordering)",
-    BR: "insert __syncthreads() between the conflicting accesses, or move "
-        "them into the same barrier interval's owner thread",
-    DR: "order the accesses with a device-scope release fence "
-        "(__threadfence) before the signalling atomic, or strengthen the "
-        "existing fence's scope to device",
-    IL: "protect both accesses with the same lock (atomicCAS/__threadfence "
-        "acquire, __threadfence/atomicExch release)",
-}
 
 
 @dataclass(frozen=True)
@@ -362,7 +349,7 @@ def analyze_kernel(
                                 o.access.location.warp_id
                                 == s.access.location.warp_id
                             ),
-                            fix_hint=_FIX_HINTS[race_type],
+                            fix_hint=CAUSE_OF[RaceType(race_type)].fix,
                         )
                     )
             if report.truncated:

@@ -14,7 +14,6 @@ The subpackage mirrors the paper's section 6 structure:
 
 from repro.core.config import IGuardConfig
 from repro.core.detector import IGuard
-from repro.core.diagnose import Diagnosis, diagnose, diagnose_all
 from repro.core.report import RaceRecord, RaceType
 
 __all__ = [
@@ -22,7 +21,4 @@ __all__ = [
     "IGuardConfig",
     "RaceRecord",
     "RaceType",
-    "Diagnosis",
-    "diagnose",
-    "diagnose_all",
 ]

@@ -15,6 +15,10 @@ R4        inter-threadblock (device) race     DR
 R5        improper locking (lockset)          IL
 ========  ==================================  =========
 
+:data:`CAUSE_OF` is the one table behind every explanation of a race
+type: the condition that fired, what it means, and the canonical fix.
+The race forensics (``explain``) and the static checker both read it.
+
 Races caused by misuse of Cooperative Groups have no dedicated check — CG
 is built from the primitives, so they surface as one of the above (the
 paper's Table 4 lists them as "CG (DR)").
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.obs.metrics import HOT
 
@@ -40,6 +44,48 @@ class RaceType(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+@dataclass(frozen=True)
+class RaceCause:
+    """Why a race of one type is reported, and how to repair it."""
+
+    condition: str  # the Table 2 race check that fired, R1..R5
+    text: str  # the paper's description of the condition (6.4, Table 2)
+    fix: str  # the canonical repair (sections 3 and 7.1)
+
+
+CAUSE_OF: Dict[RaceType, RaceCause] = {
+    RaceType.ATOMIC_SCOPE: RaceCause(
+        "R1", "insufficiently scoped atomic: the granule is used with "
+        "block-scope atomics but the conflicting accesses come from "
+        "different threadblocks",
+        "widen the atomic's scope to device (e.g. atomicAdd instead of "
+        "atomicAdd_block) for any variable read or updated across "
+        "threadblocks"),
+    RaceType.ITS: RaceCause(
+        "R2", "intra-warp race under independent thread scheduling: same "
+        "warp, not converged, no syncwarp and no intervening fence by the "
+        "previous thread",
+        "insert __syncwarp() between the warp-level phases that hand data "
+        "between lanes"),
+    RaceType.INTRA_BLOCK: RaceCause(
+        "R3", "intra-threadblock race: same block, no intervening "
+        "syncthreads and no intervening fence",
+        "separate the producing and consuming phases with __syncthreads() "
+        "(or publish with __threadfence_block() plus an atomic flag)"),
+    RaceType.INTER_BLOCK: RaceCause(
+        "R4", "inter-threadblock (device) race: different blocks and the "
+        "previous thread executed no device-scope fence since its access",
+        "have the producing thread execute __threadfence() (device scope) "
+        "before publishing, or synchronize the whole grid with a correct "
+        "cooperative-groups grid.sync()"),
+    RaceType.IMPROPER_LOCKING: RaceCause(
+        "R5", "improper locking (lockset): locks are in use for this "
+        "granule but the previous and current lock sets do not intersect",
+        "protect each shared location with one designated lock that every "
+        "accessor acquires (lock the *data*, not the thread)"),
+}
 
 
 @dataclass(frozen=True)

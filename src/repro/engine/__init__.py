@@ -4,8 +4,8 @@ The engine makes the instrumented event stream a first-class artifact
 instead of an implicit callback side effect:
 
 - :mod:`repro.engine.bus` — the :class:`EventBus` a live device publishes
-  typed events into, with pluggable sinks (every existing
-  :class:`~repro.instrument.nvbit.Tool` is already sink-shaped);
+  typed events into, delivered to the device's one
+  :class:`~repro.instrument.nvbit.Tool`;
 - :mod:`repro.engine.trace` — the in-memory :class:`Trace` of one or more
   executions and the :class:`TraceSink` that records it;
 - :mod:`repro.engine.coltrace` — the columnar container (``.ctr`` /

@@ -106,11 +106,28 @@ def replay(
         if not piece:
             return device
         if HOT.enabled:
-            HOT.replay_events.inc(sum(
-                1 for record in piece
-                if not isinstance(record, (GPUConfig, RunMarker))
-            ))
-        tool.feed(piece)
+            _feed_counted(tool, piece)
+        else:
+            tool.feed(piece)
+
+
+def _feed_counted(tool: Tool, piece: List) -> None:
+    """``tool.feed(piece)``, counting into ``replay.events`` the records
+    the tool took (headers and run markers excluded), so a replay that a
+    tool failure aborts mid-slice counts up to the failing record."""
+    fed = 0
+
+    def taken():
+        nonlocal fed
+        for record in piece:
+            if not isinstance(record, (GPUConfig, RunMarker)):
+                fed += 1
+            yield record
+
+    try:
+        tool.feed(taken())
+    finally:
+        HOT.replay_events.inc(fed)
 
 
 def peek_gpu_config(events: Iterable) -> Tuple[GPUConfig, Iterable]:
@@ -215,7 +232,7 @@ def capture_workload(
         sink = TraceSink(trace, header=False)
         sink.mark_run(seed)
         device = Device(config)
-        device.add_sink(sink)
+        device.add_tool(sink)
         try:
             workload.run(device, seed)
         except DeadlockError:

@@ -144,9 +144,9 @@ class Trace:
 class TraceSink(Tool):
     """A zero-overhead sink recording the full typed stream into a Trace.
 
-    Attach with ``device.add_sink(TraceSink())`` (or ``add_tool``; it
-    charges nothing either way).  The device configuration is written as a
-    header on attach, so the trace is self-contained.
+    Attach with ``device.add_tool(TraceSink())``; it charges nothing.
+    The device configuration is written as a header on attach, so the
+    trace is self-contained.
     """
 
     name = "trace"

@@ -5,9 +5,9 @@ the event bus carrying the instrumentation stream, and the cost
 accounting; ``launch()`` spins up one
 :class:`~repro.gpu.kernel.KernelThread` per thread of the grid, hands
 them to a scheduler, and executes instructions on their behalf while
-publishing every event on the bus.  Attached tools are bus sinks —
-``device.tools`` aliases the bus's sink list, so both ``add_tool`` and
-direct appends keep working.
+publishing every event on the bus.  A device carries at most one tool
+(``add_tool``), the bus's one sink; without one, the bus publishes to a
+no-op :class:`~repro.instrument.nvbit.Tool`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.engine.bus import EventBus
+from repro.engine.bus import NO_TOOL, EventBus
 from repro.errors import LaunchError
 from repro.gpu.arch import GPUConfig, TITAN_RTX
 from repro.gpu.costs import CostParams, DEFAULT_COSTS, effective_parallelism
@@ -86,9 +86,6 @@ class Device:
         self.costs = costs
         self.memory = GlobalMemory(config.memory_bytes, weak_visibility)
         self.bus = EventBus()
-        #: Alias of ``bus.sinks`` — the same list object, so legacy code
-        #: appending tools directly still hooks into event dispatch.
-        self.tools: List[Tool] = self.bus.sinks
         self.runs: List[KernelRun] = []
         self.memory.alloc_hooks.append(self.bus.publish_alloc)
         #: Optional fault-injection mutator (repro.faults.mutators); when
@@ -100,12 +97,19 @@ class Device:
     # ------------------------------------------------------------------
 
     def add_tool(self, tool: Tool) -> Tool:
-        """Attach an instrumentation tool (e.g. an iGUARD detector)."""
-        return self.bus.add_sink(tool, self)
+        """Attach the device's one tool (a detector or a ``TraceSink``).
 
-    def add_sink(self, sink):
-        """Register any bus sink (a Tool, TraceSink, Tracer, ...)."""
-        return self.bus.add_sink(sink, self)
+        Raises ValueError if the device already has one: every tool runs
+        on its own device.
+        """
+        if self.bus.sink is not NO_TOOL:
+            raise ValueError(
+                f"device already has tool {self.bus.sink.name!r}; "
+                "give each tool its own device"
+            )
+        self.bus.sink = tool
+        tool.attach(self)
+        return tool
 
     def alloc(self, name: str, num_words: int, init=0) -> GlobalArray:
         """``cudaMalloc`` + optional ``cudaMemset``: allocate a global array."""
@@ -187,23 +191,27 @@ class Device:
         )
         executor = _Executor(self, launch)
         span_start = now_us() if TRACER.enabled else 0.0
-        engine.run(executor)
-        if TRACER.enabled:
-            TRACER.add_complete(
-                f"launch:{launch.kernel_name}",
-                span_start,
-                now_us() - span_start,
-                cat="launch",
-                tid=TRACER.tid_for("launches"),
-                args={
-                    "seed": seed,
-                    "grid_dim": grid_dim,
-                    "block_dim": block_dim,
-                    "batches": engine.batch_counter,
-                    "timed_out": engine.timed_out,
-                },
-            )
-            self._emit_warp_activity(launch, engine)
+        try:
+            engine.run(executor)
+        finally:
+            # Also when a tool aborts the launch (unsupported feature,
+            # OOM): the span shows how far it got.
+            if TRACER.enabled:
+                TRACER.add_complete(
+                    f"launch:{launch.kernel_name}",
+                    span_start,
+                    now_us() - span_start,
+                    cat="launch",
+                    tid=TRACER.tid_for("launches"),
+                    args={
+                        "seed": seed,
+                        "grid_dim": grid_dim,
+                        "block_dim": block_dim,
+                        "batches": engine.batch_counter,
+                        "timed_out": engine.timed_out,
+                    },
+                )
+                self._emit_warp_activity(launch, engine)
         self.memory.flush_all()
 
         if engine.timed_out:

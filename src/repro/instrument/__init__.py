@@ -11,6 +11,5 @@ Figure 13 (Native / NVBit / Setup / Instrumentation / Detection / Misc).
 
 from repro.instrument.nvbit import Tool, LaunchInfo
 from repro.instrument.timing import Category, TimingBreakdown
-from repro.instrument.tracer import Tracer
 
-__all__ = ["Tool", "LaunchInfo", "Category", "TimingBreakdown", "Tracer"]
+__all__ = ["Tool", "LaunchInfo", "Category", "TimingBreakdown"]

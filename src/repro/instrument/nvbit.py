@@ -3,7 +3,7 @@
 NVBit lets a tool observe and extend every SASS instruction of a running
 CUDA binary without recompilation.  Here, the simulated
 :class:`~repro.gpu.device.Device` plays the role of the instrumented GPU:
-any number of :class:`Tool` objects can be attached to it, and their
+one :class:`Tool` can be attached to it, and its
 callbacks fire on the same occasions iGUARD's injected functions do —
 memory accesses, synchronization operations, kernel launch boundaries, and
 ``cudaMalloc`` calls (which iGUARD intercepts to budget metadata
@@ -53,8 +53,10 @@ class Tool:
     A live :class:`~repro.gpu.device.Device` calls the callbacks through
     its event bus; a replay hands recorded records to :meth:`feed`.
 
-    Subclasses: :class:`repro.core.detector.IGuard`,
-    :class:`repro.baselines.barracuda.Barracuda`, and the test utilities.
+    Subclasses: :class:`repro.core.detector.IGuard`, the baselines
+    (:class:`repro.baselines.barracuda.Barracuda`, ...),
+    :class:`repro.engine.trace.TraceSink`, and the test utilities.  A
+    plain ``Tool()`` is the no-op sink of a device without a tool.
     """
 
     #: Human-readable tool name used in experiment output.
@@ -110,5 +112,4 @@ class Tool:
 
     def on_kernel_end(self, run, launch: LaunchInfo) -> None:
         """Called once the completed :class:`~repro.gpu.device.KernelRun`
-        exists, after ``on_launch_end``/``on_timeout``.  Optional: the bus
-        skips sinks that don't define it."""
+        exists, after ``on_launch_end``/``on_timeout``."""

@@ -16,7 +16,8 @@ hooks and, for every race matching the requested site, captures
   accessor/writer words before the check, fully decoded field by field,
   plus the recent transitions that produced them;
 - the **Table 2 condition** that fired (R1-R5, derived from the race
-  classification) with the paper's description;
+  classification) with the paper's description and the canonical fix
+  (:data:`repro.core.report.CAUSE_OF`);
 - the **lock-inference timeline** (CAS inserts, fence activations, EXCH
   releases, per-thread-locking inference) up to the racing access;
 - a sliding **instruction window** of the accesses and synchronization
@@ -35,30 +36,8 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.metadata import ACCESSOR_WORD, WRITER_WORD
-from repro.core.report import RaceRecord, RaceType
+from repro.core.report import CAUSE_OF, RaceCause, RaceRecord, RaceType
 from repro.obs.log import get_logger, output
-
-#: Which Table 2 race condition produces each classification, with the
-#: paper's description (section 6.4 / Table 2).
-CONDITION_OF: Dict[RaceType, Tuple[str, str]] = {
-    RaceType.ATOMIC_SCOPE: (
-        "R1", "insufficiently scoped atomic: the granule is used with "
-        "block-scope atomics but the conflicting accesses come from "
-        "different threadblocks"),
-    RaceType.ITS: (
-        "R2", "intra-warp race under independent thread scheduling: same "
-        "warp, not converged, no syncwarp and no intervening fence by the "
-        "previous thread"),
-    RaceType.INTRA_BLOCK: (
-        "R3", "intra-threadblock race: same block, no intervening "
-        "syncthreads and no intervening fence"),
-    RaceType.INTER_BLOCK: (
-        "R4", "inter-threadblock (device) race: different blocks and the "
-        "previous thread executed no device-scope fence since its access"),
-    RaceType.IMPROPER_LOCKING: (
-        "R5", "improper locking (lockset): locks are in use for this "
-        "granule but the previous and current lock sets do not intersect"),
-}
 
 
 def _decode_word(struct, word: int) -> Dict[str, int]:
@@ -113,8 +92,7 @@ class RaceForensics:
 
     seed: int
     record: RaceRecord
-    condition: str
-    condition_text: str
+    cause: RaceCause
     current_ip: str
     previous_ip: Optional[str]
     accessor_word_before: int
@@ -184,7 +162,9 @@ class ForensicProbe:
     ) -> None:
         """Called after write-back; finalizes history and pending races."""
         pre_acc, pre_wr = self._pre_words.pop(granule, (0, 0))
-        outcome = passed or (str(race_type and CONDITION_OF[race_type][0]) if race_type else "updated")
+        outcome = passed or (
+            CAUSE_OF[race_type].condition if race_type else "updated"
+        )
         history = self._history.get(granule)
         if history is None:
             history = deque(maxlen=self._history_depth)
@@ -204,12 +184,10 @@ class ForensicProbe:
             if self.site and self.site not in record.ip:
                 continue
             previous = self._last_access.get(granule)
-            condition, text = CONDITION_OF[record.race_type]
             self.reports.append(RaceForensics(
                 seed=self.seed,
                 record=record,
-                condition=condition,
-                condition_text=text,
+                cause=CAUSE_OF[record.race_type],
                 current_ip=record.ip,
                 previous_ip=previous.ip if previous is not None else None,
                 accessor_word_before=pre_acc,
@@ -335,8 +313,9 @@ def forensics_to_dict(forensics: RaceForensics) -> dict:
             "prev_warp_id": record.prev_warp_id,
             "prev_lane": record.prev_lane,
         },
-        "condition": forensics.condition,
-        "condition_text": forensics.condition_text,
+        "condition": forensics.cause.condition,
+        "condition_text": forensics.cause.text,
+        "fix": forensics.cause.fix,
         "racing_pair": {
             "current_ip": forensics.current_ip,
             "previous_ip": forensics.previous_ip,
@@ -425,7 +404,8 @@ def render_report(forensics: RaceForensics) -> str:
         f"    writer   = 0x{forensics.writer_word_before:016x}  "
         f"[{_fields_line(forensics.writer_fields)}]",
         "",
-        f"  fired condition: {forensics.condition} — {forensics.condition_text}",
+        f"  fired condition: {forensics.cause.condition} — {forensics.cause.text}",
+        f"  fix: {forensics.cause.fix}",
     ]
     if forensics.metadata_history:
         lines += ["", "  metadata transitions of the racing granule:"]

@@ -86,7 +86,7 @@ def _run_one_seed(
     device = Device(config)
     tool = device.add_tool(tool_factory()) if tool_factory else None
     outcome = _run_seed(device, tool, lambda: workload.run(device, seed))
-    if TRACER.enabled and outcome.status not in ("unsupported", "oom"):
+    if TRACER.enabled:
         TRACER.add_complete(
             f"seed:{workload.name}:{detector_name(tool_factory)}:s{seed}",
             span_start,

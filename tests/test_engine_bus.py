@@ -1,6 +1,8 @@
-"""The event bus: ordered dispatch of device events to sinks."""
+"""The event bus: dispatch of device events to the device's one tool."""
 
-from repro.engine import EventBus
+import pytest
+
+from repro.engine.bus import NO_TOOL
 from repro.gpu.device import Device
 from repro.gpu.instructions import store
 from repro.instrument.nvbit import Tool
@@ -43,64 +45,32 @@ class Recorder(Tool):
         self.counts["kernel_end"] += 1
 
 
-class MinimalSink:
-    """Only the classic seven callbacks — no on_kernel_end, no attach need."""
-
-    def __init__(self):
-        self.seen = []
-
-    def attach(self, device):
-        self.seen.append("attach")
-
-    def on_alloc(self, allocation):
-        self.seen.append("alloc")
-
-    def on_launch_begin(self, launch):
-        self.seen.append("begin")
-
-    def on_memory(self, event, launch):
-        self.seen.append("memory")
-
-    def on_sync(self, event, launch):
-        self.seen.append("sync")
-
-    def on_launch_end(self, launch):
-        self.seen.append("end")
-
-    def on_timeout(self, launch):
-        self.seen.append("timeout")
-
-
 def _small_kernel(ctx, arr):
     yield store(arr, ctx.tid, 1)
 
 
 class TestEventBus:
-    def test_device_tools_alias_the_bus_sinks(self):
-        device = Device(SIM_GPU)
-        assert device.tools is device.bus.sinks
-        tool = Recorder()
-        device.tools.append(tool)  # legacy direct append still dispatches
-        device.alloc("a", 4)
-        assert tool.counts["alloc"] == 1
-
-    def test_publish_order_is_registration_order(self):
-        bus = EventBus()
-        order = []
-        for tag in ("first", "second"):
-            sink = MinimalSink()
-            sink.on_alloc = lambda allocation, tag=tag: order.append(tag)
-            bus.add_sink(sink)
-        bus.publish_alloc(object())
-        assert order == ["first", "second"]
-
-    def test_kernel_end_published_and_optional(self):
+    def test_kernel_end_published(self):
         device = Device(SIM_GPU)
         recorder = device.add_tool(Recorder())
-        minimal = device.add_sink(MinimalSink())
         a = device.alloc("a", 4)
         device.launch(_small_kernel, grid_dim=1, block_dim=4, args=(a,))
-        assert recorder.counts["kernel_end"] == 1
-        assert recorder.counts["begin"] == 1
-        # the minimal sink saw everything except the record it lacks
-        assert minimal.seen == ["attach", "alloc", "begin"] + ["memory"] * 4 + ["end"]
+        assert recorder.counts == {
+            "attach": 1, "alloc": 1, "begin": 1, "memory": 4,
+            "sync": 0, "end": 1, "timeout": 0, "kernel_end": 1,
+        }
+
+    def test_second_add_tool_raises(self):
+        device = Device(SIM_GPU)
+        first = device.add_tool(Recorder())
+        with pytest.raises(ValueError, match="already has tool"):
+            device.add_tool(Recorder())
+        assert device.bus.sink is first
+
+    def test_toolless_device_launches(self):
+        device = Device(SIM_GPU)
+        a = device.alloc("a", 4)
+        run = device.launch(_small_kernel, grid_dim=1, block_dim=4, args=(a,))
+        assert device.bus.sink is NO_TOOL
+        assert run.instructions == 4 and not run.timed_out
+        assert run.overhead == 1.0

@@ -25,7 +25,6 @@ from repro.gpu.events import (
 )
 from repro.gpu.ids import ThreadLocation
 from repro.gpu.instructions import AtomicOp, Scope
-from repro.instrument.tracer import Tracer
 from repro.workloads import get_workload, run_workload
 from repro.workloads.base import SIM_GPU
 
@@ -96,28 +95,33 @@ class TestReplayMatchesLive:
         trace = capture_workload(workload)
         assert replay_workload(trace, factory, workload.name) == live
 
-    def test_replay_events_counter(self):
-        # Records replayed, headers and run markers excluded.
+    @staticmethod
+    def _replayed_events(name, tool_factory):
         from repro.obs import metrics
 
-        workload = get_workload("reduction")
+        workload = get_workload(name)
         trace = capture_workload(workload)
         metrics.set_enabled(True)
         metrics.get_registry().reset()
         try:
-            replay_workload(trace, IGuard, workload.name)
+            result = replay_workload(trace, tool_factory, workload.name)
             snapshot = metrics.get_registry().snapshot()
         finally:
             metrics.set_enabled(False)
             metrics.get_registry().reset()
-        assert snapshot["replay.events"]["value"] == 927
+        return result, snapshot["replay.events"]["value"]
 
-    def test_tracer_from_trace(self):
-        workload = get_workload("b_scan")
-        trace = capture_workload(workload, seeds=(1,))
-        offline = Tracer.from_trace(trace)
-        assert len(offline) > 0
-        assert "data" in offline.render() or len(offline.lines) > 0
+    def test_replay_events_counter(self):
+        # Records replayed, headers and run markers excluded.
+        _, events = self._replayed_events("reduction", IGuard)
+        assert events == 927
+
+    def test_replay_events_counter_stops_at_abort(self):
+        # Barracuda's event budget aborts interac's replay mid-slice:
+        # only the records fed up to the failing one count.
+        result, events = self._replayed_events("interac", Barracuda)
+        assert result.status == "timeout"
+        assert events == 12_008
 
 
 class TestTraceContainer:
@@ -141,7 +145,7 @@ class TestTraceContainer:
         from repro.gpu.instructions import store
 
         device = Device(SIM_GPU)
-        device.add_sink(TraceSink())
+        device.add_tool(TraceSink())
         a = device.alloc("a", 4)
 
         def kernel(ctx, arr):

@@ -121,7 +121,7 @@ class TestRecallGate:
 def _record_pattern_trace(tmp_path, suffix=""):
     pattern = get_pattern("ff-pipeline")
     device = Device(SIM_GPU)
-    sink = device.add_sink(TraceSink())
+    sink = device.add_tool(TraceSink())
     pattern.workload.run(device, 1)
     path = str(tmp_path / f"trace.ctr{suffix}")
     save_columnar(sink.trace.events, path, chunk_rows=CHUNK_ROWS)

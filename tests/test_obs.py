@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from benchmarks.validate_schema import validate
-from repro.core import IGuard
+from repro.core import IGuard, RaceType
 from repro.errors import DeadlockError, TimeoutError_
 from repro.gpu.device import Device
 from repro.obs import log as obs_log
@@ -128,6 +128,23 @@ class TestSpans:
         tracer.add_complete("work", 0.0, 1.0)
         assert tracer.to_document()["traceEvents"] == []
 
+    def test_aborted_seed_writes_seed_and_launch_spans(self, obs_off, tmp_path):
+        # warpAA's scoped atomic makes Barracuda abort its first seed
+        # ("unsupported") mid-launch; both spans still close.
+        from repro.workloads.runner import main
+
+        path = tmp_path / "t.json"
+        assert main([
+            "--workload", "warpAA", "--detector", "barracuda",
+            "--trace-out", str(path),
+        ]) == 0
+        events = json.loads(path.read_text())["traceEvents"]
+        cats = [e.get("cat") for e in events]
+        assert cats.count("seed") == 1
+        assert cats.count("launch") == 1
+        seed = next(e for e in events if e.get("cat") == "seed")
+        assert seed["args"]["status"] == "unsupported"
+
 
 # ---------------------------------------------------------------------------
 # Logging facade
@@ -190,8 +207,9 @@ class TestForensics:
         text = render_report(first)
         assert f"0x{first.accessor_word_before:016x}" in text
         assert f"0x{first.writer_word_before:016x}" in text
-        assert first.condition in ("R1", "R2", "R3", "R4", "R5")
-        assert f"fired condition: {first.condition}" in text
+        assert first.cause.condition in ("R1", "R2", "R3", "R4", "R5")
+        assert f"fired condition: {first.cause.condition}" in text
+        assert f"  fix: {first.cause.fix}" in text
 
     def test_site_filter(self):
         from repro.obs.forensics import explain_workload
@@ -203,6 +221,48 @@ class TestForensics:
         assert all(
             "_reduction_kernel:346" in f.record.ip for f in filtered
         )
+
+
+class TestCauseTable:
+    """One R1-R5 table serves ``explain`` and the static checker."""
+
+    @pytest.mark.parametrize(
+        "race_type,condition,fix_word,mutant",
+        [
+            (RaceType.ATOMIC_SCOPE, "R1", "scope",
+             ("scoped-counter", "weaken-atomic-scope")),
+            (RaceType.ITS, "R2", "__syncwarp",
+             ("warp-exchange", "skip-syncwarp")),
+            (RaceType.INTRA_BLOCK, "R3", "__syncthreads",
+             ("barrier-handoff", "skip-syncthreads")),
+            (RaceType.INTER_BLOCK, "R4", "__threadfence",
+             ("ff-pipeline", "drop-release-fence")),
+            (RaceType.IMPROPER_LOCKING, "R5", "lock", None),
+        ],
+        ids=["AS-R1-scope", "ITS-R2-__syncwarp", "BR-R3-__syncthreads",
+             "DR-R4-__threadfence", "IL-R5-lock"],
+    )
+    def test_every_type_has_condition_and_fix(
+        self, race_type, condition, fix_word, mutant
+    ):
+        from repro.analysis.lint import analyze_workload
+        from repro.core.report import CAUSE_OF
+        from repro.faults.workloads import get_pattern
+
+        cause = CAUSE_OF[race_type]
+        assert cause.condition == condition
+        assert cause.text and fix_word in cause.fix
+        if mutant is None:
+            return  # no fault pattern lints as this type
+        pattern = get_pattern(mutant[0])
+        lint = analyze_workload(
+            pattern.workload, mutation_spec=pattern.mutation(mutant[1])
+        )
+        findings = [
+            f for launch in lint.launches for f in launch.report.findings
+        ]
+        assert {f.race_type for f in findings} == {str(race_type)}
+        assert all(f.fix_hint == cause.fix for f in findings)
 
 
 class TestExplainJson:

@@ -15,6 +15,7 @@ from repro.gpu.instructions import (
     syncwarp,
 )
 from repro.gpu.scheduler import SchedulerKind
+from repro.instrument.nvbit import Tool
 
 from tests.conftest import fresh_device
 
@@ -245,18 +246,11 @@ class TestConvergenceGroups:
         masks = dev.alloc("masks", 2, init=0)
         recorded = []
 
-        class Spy:
-            name = "spy"
-            def attach(self, d): pass
-            def on_alloc(self, a): pass
-            def on_launch_begin(self, l): pass
-            def on_launch_end(self, l): pass
-            def on_timeout(self, l): pass
-            def on_sync(self, e, l): pass
+        class Spy(Tool):
             def on_memory(self, e, l):
                 recorded.append((e.where.lane, tuple(sorted(e.active_mask))))
 
-        dev.tools.append(Spy())
+        dev.add_tool(Spy())
 
         def kern(ctx, masks):
             if ctx.lane == 0:
@@ -274,18 +268,11 @@ class TestConvergenceGroups:
         data = dev.alloc("data", 4, init=0)
         masks = []
 
-        class Spy:
-            name = "spy"
-            def attach(self, d): pass
-            def on_alloc(self, a): pass
-            def on_launch_begin(self, l): pass
-            def on_launch_end(self, l): pass
-            def on_timeout(self, l): pass
-            def on_sync(self, e, l): pass
+        class Spy(Tool):
             def on_memory(self, e, l):
                 masks.append(len(e.active_mask))
 
-        dev.tools.append(Spy())
+        dev.add_tool(Spy())
 
         def kern(ctx, data):
             yield store(data, ctx.lane, 1)

@@ -85,18 +85,24 @@ def _build_kernel(phases):
     return kern
 
 
-def _run(phases, seed):
-    """Run the program live under iGUARD, recording its stream."""
+def _launch(phases, seed, tool):
     dev = fresh_device()
-    det = dev.add_tool(IGuard())
-    sink = dev.add_sink(TraceSink())
+    dev.add_tool(tool)
     private = dev.alloc("private", 16, init=0)
     shared = dev.alloc("shared", 1, init=5)
     counter = dev.alloc("counter", 1, init=0)
     exchange = dev.alloc("exchange", 16, init=0)
     dev.launch(_build_kernel(phases), 2, 8,
                args=(private, shared, counter, exchange), seed=seed)
-    return det, list(sink.trace)
+    return tool
+
+
+def _run(phases, seed):
+    """Run the program live under iGUARD, and record its stream in a
+    second run with the same seed (the interleaving depends on the seed
+    alone)."""
+    det = _launch(phases, seed, IGuard())
+    return det, list(_launch(phases, seed, TraceSink()).trace)
 
 
 def _report(det):
