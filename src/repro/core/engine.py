@@ -50,7 +50,6 @@ from repro.core.metadata import (
     BLK_SHARED,
     DECODE_MD,
     DEV_SHARED,
-    GET_LOCKS,
     GET_WARP_ID,
     MODIFIED,
     SCOPE,
@@ -253,10 +252,6 @@ class IGuardCore(DetectorCore):
         #: Section 6.7 ablation state: per-granule history of the last N
         #: accessors (beyond the single packed metadata entry).
         self._history: Dict[int, Deque] = {}
-        #: Ground-truth lock hashes of the last writer per granule, kept
-        #: only while metrics are enabled, to count 16-bit Bloom filter
-        #: false positives (filters intersect, true lock sets disjoint).
-        self._writer_lock_truth: Dict[int, frozenset] = {}
         self.table.on_evict = self._forget_granule
 
     # -- lifecycle ---------------------------------------------------------
@@ -267,7 +262,6 @@ class IGuardCore(DetectorCore):
         # implicit barrier at kernel completion orders everything, so stale
         # entries could only cause false positives.
         self.sync = SyncMetadata(self.config.lock_table_entries)
-        self._writer_lock_truth.clear()
         if self.config.reset_metadata_per_kernel:
             self.table.clear()
             self._history.clear()
@@ -407,7 +401,7 @@ class IGuardCore(DetectorCore):
                 counts[passed] = counts.get(passed, 0) + 1
         else:
             race_type = self._race_tier(
-                acc, wr, md, event, granule, launch, locks, table
+                acc, wr, md, event, granule, launch, locks
             )
 
         # Section 6.7 ablation: also compare against older accessors when
@@ -438,8 +432,6 @@ class IGuardCore(DetectorCore):
             else:
                 acc = (acc | MODIFIED) & ~(ATOMIC | SCOPE)
         entry.accessor_word = acc
-        if HOT.enabled and not is_load:
-            self._writer_lock_truth[granule] = frozenset(table.held_hashes())
         if config.accessor_history > 1:
             self._record_history(
                 granule,
@@ -453,7 +445,7 @@ class IGuardCore(DetectorCore):
         if probe is not None:
             probe.on_outcome(event, granule, passed, race_type, acc, wr)
 
-    def _race_tier(self, acc, wr, md, event, granule, launch, locks, table):
+    def _race_tier(self, acc, wr, md, event, granule, launch, locks):
         """R1-R5 for an access every preliminary check failed on."""
         config = self.config
         where = event.where
@@ -463,14 +455,6 @@ class IGuardCore(DetectorCore):
         )
         if race_type is not None:
             self.report_race(race_type, event, md, launch, granule)
-        elif HOT.enabled and config.lockset and GET_LOCKS(md) & locks:
-            # R5 stayed quiet because the 16-bit Bloom summaries
-            # intersect; if the underlying lock-hash sets are in fact
-            # disjoint, that intersection is a filter false positive (a
-            # missed R5 report, the aliasing cost of section 6.3).
-            truth = self._writer_lock_truth.get(granule)
-            if truth is not None and truth.isdisjoint(table.held_hashes()):
-                HOT.detector_bloom_fp.inc()
         return race_type
 
     # -- accessor-history ablation (section 6.7) ---------------------------
@@ -521,7 +505,6 @@ class IGuardCore(DetectorCore):
         """The metadata table evicted ``granule``: drop its side state too,
         so a re-admitted granule starts with no history (eviction forgets)."""
         self._history.pop(granule, None)
-        self._writer_lock_truth.pop(granule, None)
 
     def report_race(
         self, race_type, event: MemoryEvent, md: int, launch, granule: int

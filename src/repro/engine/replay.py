@@ -251,14 +251,24 @@ def replay_workload(
     (:func:`repro.workloads.runner._run_seed`) with a replay as its
     ``drive``: a fresh device and tool per seed, race sites unioned in seed
     order, timing averaged, and the unsupported/OOM/timeout statuses
-    replicated from the tool's own failures during replay.
+    replicated from the tool's own failures during replay.  A
+    ``workload_name`` from the registry gets the live runner's refusal of
+    a binary the detector cannot run, before any seed replays.
     """
+    from repro.workloads.registry import REGISTRY
     from repro.workloads.runner import (
         _merge_outcomes,
         _run_seed,
+        binary_refusal,
         detector_name,
     )
 
+    detector = detector_name(tool_factory)
+    for workload in REGISTRY:
+        if workload.name == workload_name:
+            refusal = binary_refusal(workload, detector)
+            if refusal is not None:
+                return refusal
     config = trace.gpu_config or SIM_GPU
 
     def outcomes():
@@ -271,6 +281,4 @@ def replay_workload(
                 device, tool, lambda: replay(events, tool, device=device)
             )
 
-    return _merge_outcomes(
-        workload_name, detector_name(tool_factory), outcomes()
-    )
+    return _merge_outcomes(workload_name, detector, outcomes())

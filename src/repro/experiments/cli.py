@@ -4,7 +4,7 @@ Runs the requested experiments (default: all of them) and prints the
 paper-style tables.  Available names: table1, table4, table5, figure11,
 figure12, figure13, figure14, motivation.
 
-Two non-experiment subcommands ride the same entry point:
+Non-experiment subcommands ride the same entry point:
 
 - ``iguard-experiments explain <race-site>`` — race forensics: replay a
   recorded trace and reconstruct why a race was reported
@@ -14,10 +14,9 @@ Two non-experiment subcommands ride the same entry point:
   (:mod:`repro.experiments.tracecli`);
 - ``iguard-experiments fuzz`` / ``iguard-experiments minimize`` — the
   differential fuzz campaign, triage-corpus replay, and ddmin
-  re-minimization (:mod:`repro.faults.fuzz`);
-- ``iguard-experiments lint <workload|--all>`` — static race analysis
-  over workload kernels, with fix hints and a JSON report
-  (:mod:`repro.analysis.lint`);
+  re-minimization (:mod:`repro.faults.fuzz`), whose fourth leg compares
+  iGUARD with the reference detector (:mod:`repro.core.reference`) one
+  checked access at a time;
 - the observability flags (``--log-level``, ``--metrics-out``,
   ``--trace-out``) apply to any experiment run.
 
@@ -89,11 +88,6 @@ def main(argv=None) -> int:
         from repro.faults.fuzz import minimize_main
 
         return minimize_main(argv[1:])
-    if argv and argv[0] == "lint":
-        # Static race analysis over workload kernels.
-        from repro.analysis.lint import main as lint_main
-
-        return lint_main(argv[1:])
 
     parser = argparse.ArgumentParser(
         prog="iguard-experiments",
@@ -105,8 +99,8 @@ def main(argv=None) -> int:
         metavar="NAME",
         help=f"experiments to run (default: all); one of "
              f"{', '.join(ALL_EXPERIMENTS)}, or the 'explain'/'trace'/"
-             f"'fuzz'/'lint' subcommands (see e.g. "
-             f"'iguard-experiments lint --help')",
+             f"'fuzz'/'minimize' subcommands (see e.g. "
+             f"'iguard-experiments fuzz --help')",
     )
     parser.add_argument(
         "--profile",

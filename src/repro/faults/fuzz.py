@@ -11,12 +11,11 @@ Two generators, one oracle:
   columnar replay (chunks with vectorized granules) — plus a serial
   FastTrack leg that must neither crash nor hang.  Any crash, per-input
   wall-clock blowout, report divergence between the iGUARD legs, or
-  quarantine-snapshot divergence is a failure.  A fourth leg is the
-  **soundness gate** for the static analyzer (:mod:`repro.analysis`):
-  every race the serial iGUARD leg reports must fall inside the
-  analyzer's may-race set — a dynamically caught race at a
-  statically-proven-safe site would mean the analyzer is unsound, so it
-  fails the campaign like any divergence.
+  quarantine-snapshot divergence is a failure.  A fourth leg replays the
+  program through the **reference detector**
+  (:mod:`repro.core.reference`), compared with the serial iGUARD leg one
+  checked access at a time: a divergence that no iGUARD approximation
+  explains is a ``reference`` failure.
 - **Trace mutation**: byte-level corruption of ``.ctr`` and ``.ctr.gz``
   containers (flips, truncation, duplication, junk insertion).  The
   salvage contract is the oracle: strict loads and lazy streams may only
@@ -42,6 +41,7 @@ import json
 import os
 import time
 import traceback
+from collections import Counter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.rng import SplitMix64
@@ -226,15 +226,19 @@ def _leg(run: Callable[[], object]) -> Dict:
     }
 
 
-def differential_check(statements: List[list]) -> Optional[Dict]:
+def differential_check(
+    statements: List[list], labels: Optional[Counter] = None
+) -> Optional[Dict]:
     """Capture one program, replay through every mode, compare reports.
 
     Returns None when all modes agree and nothing crashed, else a
-    failure dict with ``kind``/``signature``/``detail``.
+    failure dict with ``kind``/``signature``/``detail``.  ``labels``, if
+    given, counts the reference leg's labelled divergences.
     """
     import tempfile
 
     from repro.core.detector import IGuard
+    from repro.core.reference import Reference, Verdicts
     from repro.core.sharding import replay_columnar_sharded
     from repro.baselines.fasttrack import FastTrack
     from repro.engine.coltrace import write_columnar
@@ -254,7 +258,14 @@ def differential_check(statements: List[list]) -> Optional[Dict]:
 
             return _run
 
-        legs = {"iguard-serial": _leg(_replay_tool(IGuard))}
+        verdicts = Verdicts()
+
+        def _probed():
+            tool = IGuard()
+            tool.probe = verdicts
+            return tool
+
+        legs = {"iguard-serial": _leg(_replay_tool(_probed))}
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "fuzz.ctr")
             with open(path, "wb") as handle:
@@ -265,14 +276,14 @@ def differential_check(statements: List[list]) -> Optional[Dict]:
         # Crash/hang leg: FastTrack flags atomic-atomic interleavings
         # iGUARD's Table 2 permits, so its report is not compared.
         legs["fasttrack-serial"] = _leg(_replay_tool(FastTrack))
-        # Soundness gate (fourth leg): lint the same program statically.
-        # Compared against the *iGUARD* leg only — FastTrack's
-        # happens-before model flags atomic-atomic interleavings that
-        # iGUARD's Table 2 (and hence the static mirror) correctly
-        # permits.
-        from repro.analysis.lint import analyze_workload
-
-        static_lint = analyze_workload(workload)
+        # Reference leg: the same stream under the reference detector,
+        # compared with the serial iGUARD leg's verdicts per access.
+        reference = Reference()
+        reference.expected = iter(verdicts.outcomes)
+        _leg(_replay_tool(lambda: reference))
+        reference.finish()
+        if labels is not None:
+            labels.update(reference.labels)
     except Exception as exc:  # noqa: BLE001 — any escape is the finding
         return {
             "kind": "crash",
@@ -286,31 +297,29 @@ def differential_check(statements: List[list]) -> Optional[Dict]:
             "signature": f"hang@differential_check",
             "detail": f"input took {elapsed:.1f}s (> {INPUT_BUDGET_S:.0f}s)",
         }
-    reference = legs["iguard-serial"]
-    if legs["iguard-columnar"] != reference:
+    serial = legs["iguard-serial"]
+    if legs["iguard-columnar"] != serial:
         return {
             "kind": "divergence",
             "signature": "divergence@iguard-columnar",
             "detail": (
                 "iguard-columnar disagrees with iguard-serial: "
-                f"{legs['iguard-columnar']} != {reference}"
+                f"{legs['iguard-columnar']} != {serial}"
             )[:500],
         }
-    for ip, race_type in reference["sites"].items():
-        if not static_lint.allows_dynamic_site(ip):
-            # The dynamic detector caught a race at a site the static
-            # analyzer proved safe (or never saw): the analyzer is
-            # unsound there.  This is THE bug class the gate exists to
-            # catch — fail the campaign.
-            return {
-                "kind": "soundness",
-                "signature": "soundness@static-analyzer",
-                "detail": (
-                    f"dynamic race [{race_type}] at {ip} falls outside "
-                    f"the static may-race set (static verdict: "
-                    f"{static_lint.verdict})"
-                )[:500],
-            }
+    unlabelled = reference.unlabelled
+    if unlabelled:
+        # iGUARD and the reference disagree on an access in a way none of
+        # iGUARD's approximations explains: one of the two is wrong.
+        label, ip, theirs, ours = unlabelled[0]
+        return {
+            "kind": "reference",
+            "signature": "reference@unlabelled-divergence",
+            "detail": (
+                f"{len(unlabelled)} unlabelled divergence(s); first at "
+                f"{ip}: iGUARD {theirs}, reference {ours}"
+            )[:500],
+        }
     return None
 
 
@@ -517,6 +526,7 @@ def run_campaign(
         "failures": [],
     }
     seen: Dict[str, Dict] = {}
+    labels: Counter = Counter()
     index = 0
     while True:
         if max_inputs is not None and index >= max_inputs:
@@ -552,7 +562,7 @@ def run_campaign(
         else:
             stats["programs"] += 1
             statements = gen_program(rng)
-            failure = differential_check(statements)
+            failure = differential_check(statements, labels)
             if failure is not None and failure["signature"] not in seen:
                 if minimize:
                     statements = minimize_program(
@@ -574,11 +584,13 @@ def run_campaign(
     stats["inputs_per_sec"] = round(index / elapsed, 2) if elapsed else 0.0
     stats["failures"] = list(seen.values())
     stats["distinct_failures"] = len(seen)
-    # Surfaced separately so CI can assert the static analyzer's
-    # soundness gate stayed green without parsing the failures list.
-    stats["soundness_failures"] = sum(
-        1 for entry in seen.values() if entry["kind"] == "soundness"
+    # Surfaced separately so CI can assert the reference leg stayed
+    # green without parsing the failures list.
+    stats["reference_failures"] = sum(
+        1 for entry in seen.values() if entry["kind"] == "reference"
     )
+    # The iGUARD approximations the reference leg saw at work.
+    stats["reference_labels"] = dict(sorted(labels.items()))
     if write_corpus and seen:
         corpus = corpus_dir or default_corpus_dir()
         for entry in seen.values():

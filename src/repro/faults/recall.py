@@ -8,6 +8,11 @@ whose race goes unreported is a *missed* detection: the gate exits
 non-zero and CI fails, which is what makes it a recall regression gate
 rather than a demo.
 
+Every cell also runs under the reference detector
+(:mod:`repro.core.reference`), which must agree with the mutation's
+annotation and label every per-access divergence of iGUARD from it; an
+unlabelled divergence fails the gate too.
+
 The report is deliberately timing-free and key-sorted, so two runs of
 the same tree produce byte-identical JSON (CI runs the gate twice and
 compares the reports).
@@ -24,48 +29,62 @@ import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.rng import SplitMix64
-from repro.core.detector import IGuard
+from repro.core.reference import diff, live
 from repro.errors import DeadlockError, TimeoutError_
 from repro.faults.mutators import install
 from repro.faults.workloads import FAULT_PATTERNS, PatternWorkload, get_pattern
-from repro.gpu.device import Device
-from repro.workloads.base import SIM_GPU
 
 #: Report schema version (bump on incompatible changes).
-#: v2: per-record static-analyzer cross-check fields (``static_verdict``,
-#: ``static_types``, ``static_ok``) and ``summary.static_mismatches``.
-REPORT_SCHEMA = 2
+#: v3: the reference detector (:mod:`repro.core.reference`) replaces the
+#: static analyzer: per-record ``reference_verdict``, ``reference_types``,
+#: ``reference_divergences`` and ``reference_ok``, and
+#: ``summary.reference_mismatches``.
+REPORT_SCHEMA = 3
 
 
 def _run_recall_cell(pattern: PatternWorkload, spec) -> dict:
     """Run one gate cell over the pattern's pinned seeds; union the races.
 
     ``spec`` is the cell's mutation, or None for the race-free baseline.
-    Every field of the returned record is deterministic in (tree, cell):
-    sites are source positions, never timings.
+    Every seed runs under iGUARD and under the reference detector, whose
+    per-access diff labels every divergence.  Every field of the returned
+    record is deterministic in (tree, cell): sites are source positions,
+    never timings.
     """
     sites: Dict[str, str] = {}
-    applied = 0
-    status = "ok"
-    for seed in pattern.workload.seeds:
-        device = Device(SIM_GPU)
-        tool = device.add_tool(IGuard())
+    reference_sites: Dict[str, str] = {}
+    divergences: Dict[str, int] = {}
+    # Per seed; both detectors' runs of a seed write the same values.
+    applied: Dict[int, int] = {}
+    statuses: Dict[int, str] = {}
+
+    def drive(device, seed):
         mutator = install(spec, device) if spec is not None else None
         try:
             pattern.workload.run(device, seed)
         except (DeadlockError, TimeoutError_) as exc:
             # A mutant wedging the kernel is a legitimate outcome; the
             # detector's races up to that point stand.
-            status = f"{type(exc).__name__}"
+            statuses[seed] = type(exc).__name__
         if mutator is not None:
-            applied += mutator.applied
-        for ip, race_type in tool.races.sites():
+            applied[seed] = mutator.applied
+
+    for seed in pattern.workload.seeds:
+        iguard, reference = diff(
+            live(lambda device, seed=seed: drive(device, seed))
+        )
+        for ip, race_type in iguard.races.sites():
             sites[ip] = str(race_type)
+        for ip, race_type in reference.races.sites():
+            reference_sites[ip] = str(race_type)
+        for label, _, _, _ in reference.divergences:
+            label = label or "unlabelled"
+            divergences[label] = divergences.get(label, 0) + 1
     record = {
         "workload": pattern.name,
         "mutation": spec.name if spec is not None else None,
-        "status": status,
-        "applied": applied,
+        "status": list(statuses.values())[-1] if statuses else "ok",
+        "applied": sum(applied.values()),
         "sites": sorted(sites.items()),
         "types": sorted(set(sites.values())),
     }
@@ -74,20 +93,15 @@ def _run_recall_cell(pattern: PatternWorkload, spec) -> dict:
         record["expected_type"] = spec.expected_type
         record["detected"] = spec.expected_type in record["types"]
 
-    # Static cross-check (repro.analysis): the same pattern, analyzed
-    # without running the dynamic detector at all.  The MutationSpec's
-    # race-type annotation is the shared ground truth — the dynamic
-    # detector AND the static analyzer must both agree with it, so a
-    # drift in either (or a stale annotation) fails the gate loudly.
-    from repro.analysis.lint import analyze_workload
-
-    lint = analyze_workload(pattern.workload, mutation_spec=spec)
-    record["static_verdict"] = lint.verdict
-    record["static_types"] = lint.race_types
-    if spec is None:
-        record["static_ok"] = lint.verdict == "clean"
-    else:
-        record["static_ok"] = spec.expected_type in lint.race_types
+    # The reference cross-check: the MutationSpec's race-type annotation
+    # is the shared ground truth, so the reference must agree with it, and
+    # every divergence of iGUARD from the reference must carry a label.
+    types = sorted(set(reference_sites.values()))
+    record["reference_verdict"] = "racy" if types else "clean"
+    record["reference_types"] = types
+    record["reference_divergences"] = dict(sorted(divergences.items()))
+    agrees = spec.expected_type in types if spec is not None else not types
+    record["reference_ok"] = agrees and "unlabelled" not in divergences
     return record
 
 
@@ -125,13 +139,13 @@ def run_recall(
 
     workloads: Dict[str, dict] = {}
     detected = missed = baseline_false_positives = 0
-    static_mismatches = 0
+    reference_mismatches = 0
     for record in records:
         entry = workloads.setdefault(
             record["workload"], {"baseline": None, "mutants": []}
         )
-        if not record.get("static_ok", True):
-            static_mismatches += 1
+        if not record["reference_ok"]:
+            reference_mismatches += 1
         if record["mutation"] is None:
             entry["baseline"] = record
             baseline_false_positives += len(record["sites"])
@@ -154,19 +168,20 @@ def run_recall(
             "detected": detected,
             "missed": missed,
             "baseline_false_positives": baseline_false_positives,
-            "static_mismatches": static_mismatches,
+            "reference_mismatches": reference_mismatches,
         },
     }
 
 
 def report_passed(report: dict) -> bool:
     """Gate verdict: every mutant detected, every baseline race-free,
-    and the static analyzer agreeing with every annotation."""
+    the reference agreeing with every annotation and every divergence
+    from it labelled."""
     summary = report["summary"]
     return (
         summary["missed"] == 0
         and summary["baseline_false_positives"] == 0
-        and summary.get("static_mismatches", 0) == 0
+        and summary["reference_mismatches"] == 0
     )
 
 
@@ -178,29 +193,24 @@ def render(report: dict) -> str:
         clean = "race-free" if not baseline["sites"] else (
             f"FALSE POSITIVES: {baseline['sites']}"
         )
-        static = baseline.get("static_verdict", "?")
-        lines.append(f"{name}: baseline {clean} (static: {static})")
-        if not baseline.get("static_ok", True):
+        reference = _reference_note(baseline)
+        lines.append(f"{name}: baseline {clean} (reference: {reference})")
+        if not baseline["reference_ok"]:
             lines.append(
-                f"  STATIC MISMATCH: analyzer says {static} "
-                f"({', '.join(baseline.get('static_types', [])) or '-'}) "
-                f"but the baseline is annotated race-free"
+                "  REFERENCE MISMATCH: the baseline is annotated race-free"
             )
         for record in entry["mutants"]:
             verdict = "detected" if record["detected"] else "MISSED"
             types = ", ".join(record["types"]) or "-"
-            static_types = ", ".join(record.get("static_types", [])) or "-"
             lines.append(
                 f"  {record['mutation']}: {verdict} "
                 f"[{record['condition']} -> expect {record['expected_type']}, "
-                f"got {types}; static: {static_types}]"
+                f"got {types}; reference: {_reference_note(record)}]"
             )
-            if not record.get("static_ok", True):
+            if not record["reference_ok"]:
                 lines.append(
-                    f"    STATIC MISMATCH: annotation expects "
-                    f"{record['expected_type']}, dynamic detector got "
-                    f"[{types}], static analyzer got [{static_types}] "
-                    f"(verdict {record.get('static_verdict', '?')})"
+                    f"    REFERENCE MISMATCH: annotation expects "
+                    f"{record['expected_type']}"
                 )
     summary = report["summary"]
     lines.append("")
@@ -208,9 +218,17 @@ def render(report: dict) -> str:
         f"{summary['detected']}/{summary['mutants']} mutants detected, "
         f"{summary['missed']} missed, "
         f"{summary['baseline_false_positives']} baseline false positive(s), "
-        f"{summary.get('static_mismatches', 0)} static mismatch(es)."
+        f"{summary['reference_mismatches']} reference mismatch(es)."
     )
     return "\n".join(lines)
+
+
+def _reference_note(record: dict) -> str:
+    """The reference's types and divergence labels for one record."""
+    note = ", ".join(record["reference_types"]) or "clean"
+    for label, count in record["reference_divergences"].items():
+        note += f"; {count} {label}"
+    return note
 
 
 def main(argv=None) -> int:

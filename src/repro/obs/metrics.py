@@ -192,7 +192,6 @@ class _HotMetrics:
         self.detector_race_tier = registry.counter("detector.race_checks_run")
         self.detector_races = registry.counter("detector.races_reported")
         self.detector_uvm_faults = registry.counter("detector.uvm.faults")
-        self.detector_bloom_fp = registry.counter("detector.bloom.false_positives")
         self.contention_stalls = registry.counter("detector.contention.stalled_accesses")
         self.contention_cycles = registry.counter("detector.contention.serialized_cycles")
         # Lock tables (section 6.3).

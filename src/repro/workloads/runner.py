@@ -191,13 +191,24 @@ def _merge_outcomes(
     )
 
 
-def _unsupported_binary(workload: Workload, detector: str) -> WorkloadResult:
-    return WorkloadResult(
-        workload=workload.name,
-        detector=detector,
-        status="unsupported",
-        detail="cannot embed a single PTX file for a multi-file library",
-    )
+def binary_refusal(
+    workload: Workload, detector: str
+) -> Optional[WorkloadResult]:
+    """The ``unsupported`` result if ``detector`` cannot run ``workload``.
+
+    Barracuda executes PTX embedded in the binary; real-world multi-file
+    libraries defeat that, so it cannot run them at all (section 7.1).
+    Live runs and replays (:func:`repro.engine.replay.replay_workload`)
+    both apply this check before any seed runs.
+    """
+    if workload.complex_binary and detector in ("Barracuda", "CURD"):
+        return WorkloadResult(
+            workload=workload.name,
+            detector=detector,
+            status="unsupported",
+            detail="cannot embed a single PTX file for a multi-file library",
+        )
+    return None
 
 
 def run_workload(
@@ -214,11 +225,9 @@ def run_workload(
     """
     seeds = tuple(seeds) if seeds is not None else workload.seeds
     name = detector_name(tool_factory)
-
-    # Barracuda executes PTX embedded in the binary; real-world multi-file
-    # libraries defeat that, so it cannot run them at all (section 7.1).
-    if workload.complex_binary and name in ("Barracuda", "CURD"):
-        return _unsupported_binary(workload, name)
+    refusal = binary_refusal(workload, name)
+    if refusal is not None:
+        return refusal
     # Lazy: a timeout at seed k stops the merge, so later seeds never run.
     outcomes = (
         _run_one_seed(workload, tool_factory, config, seed) for seed in seeds

@@ -22,7 +22,7 @@ from repro.core.metadata import (
 from repro.core.report import RaceType
 from repro.core.syncstate import SyncMetadata
 from repro.gpu.events import AccessKind
-from repro.gpu.instructions import Scope
+from repro.gpu.instructions import Scope, scope_covers
 
 WPB = 2  # warps per block used throughout
 
@@ -364,3 +364,16 @@ class TestOrdering:
         curr = make_access(kind=AccessKind.LOAD, warp_id=1, lane=2,
                            block_id=0, active_mask={2})
         assert check(curr, e, its=False) == ("P", "P4")
+
+
+class TestScopeLattice:
+    def test_scope_covers_lattice(self):
+        assert scope_covers(Scope.DEVICE, Scope.BLOCK)
+        assert scope_covers(Scope.SYSTEM, Scope.DEVICE)
+        # SYSTEM and DEVICE collapse on a single-GPU machine.
+        assert scope_covers(Scope.DEVICE, Scope.SYSTEM)
+        assert not scope_covers(Scope.BLOCK, Scope.DEVICE)
+        assert scope_covers(Scope.BLOCK, Scope.BLOCK)
+        # Scope.covers delegates to the shared helper.
+        assert Scope.DEVICE.covers(Scope.BLOCK)
+        assert not Scope.BLOCK.covers(Scope.DEVICE)

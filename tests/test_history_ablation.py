@@ -123,7 +123,6 @@ class TestEvictionForgetsHistory:
             )
             core.check_memory(event, granule, launch)
             assert len(core._history) <= 2
-            assert len(core._writer_lock_truth) <= 2
 
         metrics.set_enabled(True)
         try:

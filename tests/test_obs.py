@@ -224,7 +224,7 @@ class TestForensics:
 
 
 class TestCauseTable:
-    """One R1-R5 table serves ``explain`` and the static checker."""
+    """One R1-R5 table serves ``explain``: conditions, text and fixes."""
 
     @pytest.mark.parametrize(
         "race_type,condition,fix_word,mutant",
@@ -245,24 +245,32 @@ class TestCauseTable:
     def test_every_type_has_condition_and_fix(
         self, race_type, condition, fix_word, mutant
     ):
-        from repro.analysis.lint import analyze_workload
+        from repro.core.detector import IGuard
         from repro.core.report import CAUSE_OF
+        from repro.faults.mutators import install
         from repro.faults.workloads import get_pattern
+        from repro.gpu.device import Device
+        from repro.obs.forensics import ForensicProbe, forensics_to_dict
+        from repro.workloads.base import SIM_GPU
 
         cause = CAUSE_OF[race_type]
         assert cause.condition == condition
         assert cause.text and fix_word in cause.fix
         if mutant is None:
-            return  # no fault pattern lints as this type
+            return  # no fault pattern mutates into this type
         pattern = get_pattern(mutant[0])
-        lint = analyze_workload(
-            pattern.workload, mutation_spec=pattern.mutation(mutant[1])
+        device = Device(SIM_GPU)
+        detector = device.add_tool(IGuard())
+        detector.probe = probe = ForensicProbe()
+        install(pattern.mutation(mutant[1]), device)
+        pattern.workload.run(device, pattern.workload.seeds[0])
+        detector.races  # checks the pending records
+        assert {str(r.record.race_type) for r in probe.reports} == {
+            str(race_type)
+        }
+        assert all(
+            forensics_to_dict(r)["fix"] == cause.fix for r in probe.reports
         )
-        findings = [
-            f for launch in lint.launches for f in launch.report.findings
-        ]
-        assert {f.race_type for f in findings} == {str(race_type)}
-        assert all(f.fix_hint == cause.fix for f in findings)
 
 
 class TestExplainJson:

@@ -5,11 +5,13 @@ generated, correct-by-construction* kernels — arbitrary interleavings of
 private accesses, read-only shared loads, barrier-separated phases, and
 device-atomic updates — iGUARD reports nothing, on arbitrary scheduler
 seeds.  And a direction-pinned seeded race is reported under every seed.
+Both statements hold for the reference detector too, the second oracle.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core import IGuard
+from repro.core.reference import Reference
 from repro.gpu.instructions import (
     atomic_add,
     atomic_load,
@@ -21,6 +23,9 @@ from repro.gpu.instructions import (
 )
 
 from tests.conftest import fresh_device
+
+#: iGUARD and the independent reference detector.
+ORACLES = (IGuard, Reference)
 
 # One program = a sequence of phases; each phase is race-free by
 # construction and phases are separated by block barriers.
@@ -68,9 +73,9 @@ def _build_kernel(phases):
     return kern
 
 
-def _run(phases, seed):
+def _run(phases, seed, oracle=IGuard):
     dev = fresh_device()
-    det = dev.add_tool(IGuard())
+    det = dev.add_tool(oracle())
     private = dev.alloc("private", 16, init=0)
     shared = dev.alloc("shared", 1, init=5)
     counter = dev.alloc("counter", 1, init=0)
@@ -84,16 +89,17 @@ class TestNoFalsePositives:
     @given(phases=_PROGRAM, seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_correct_programs_stay_silent(self, phases, seed):
-        det = _run(phases, seed)
-        assert det.race_count == 0, (phases, seed, det.races.sites())
+        for oracle in ORACLES:
+            det = _run(phases, seed, oracle)
+            assert not det.races.sites(), (oracle.name, phases, seed)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
     def test_all_phases_together(self, seed):
         phases = ["private_rmw", "read_shared", "atomic_counter",
                   "warp_exchange", "block_exchange", "compute"]
-        det = _run(phases, seed)
-        assert det.race_count == 0
+        for oracle in ORACLES:
+            assert not _run(phases, seed, oracle).races.sites()
 
 
 class TestNoFalseNegatives:
@@ -110,13 +116,14 @@ class TestNoFalseNegatives:
                 v = yield load(data, 0)
                 yield store(out, 0, v)
 
-        dev = fresh_device()
-        det = dev.add_tool(IGuard())
-        data = dev.alloc("data", 1, init=0)
-        flag = dev.alloc("flag", 1, init=0)
-        out = dev.alloc("out", 1, init=0)
-        dev.launch(kern, 2, 8, args=(data, flag, out), seed=seed)
-        assert det.race_count == 1
+        for oracle in ORACLES:
+            dev = fresh_device()
+            det = dev.add_tool(oracle())
+            data = dev.alloc("data", 1, init=0)
+            flag = dev.alloc("flag", 1, init=0)
+            out = dev.alloc("out", 1, init=0)
+            dev.launch(kern, 2, 8, args=(data, flag, out), seed=seed)
+            assert len(det.races.sites()) == 1, oracle.name
 
 
 class TestDeterminism:

@@ -87,6 +87,18 @@ class TestRunner:
         result, = run_suite([(workload, Barracuda, None)])
         assert result.status == "unsupported"
 
+    @pytest.mark.parametrize("detector", ["Barracuda", "CURD"])
+    def test_replay_refuses_complex_binary_like_live(self, detector):
+        import repro.baselines as baselines
+        from repro.engine.replay import capture_workload, replay_workload
+
+        factory = getattr(baselines, detector)
+        workload = get_workload("cc")
+        trace = capture_workload(workload)
+        live = run_workload(workload, factory)
+        assert live.status == "unsupported"
+        assert replay_workload(trace, factory, "cc") == live
+
 
 class TestDetectorName:
     def test_class_factory_is_not_instantiated(self):
@@ -219,7 +231,7 @@ class TestEntryPoints:
     @pytest.mark.parametrize("argv", [
         ["-m", "repro.workloads.runner", "--workload", "reduction"],
         ["-m", "repro.experiments.cli", "motivation"],
-        ["-m", "repro.experiments.cli", "lint", "reduction"],
+        ["-m", "repro.faults.fuzz", "--inputs", "1"],
         ["-m", "repro.experiments.table1"],
         ["-m", "repro.faults.recall", "--workloads", "warp-exchange"],
     ])
