@@ -367,16 +367,20 @@ def mutate_bytes(data: bytes, rng: SplitMix64) -> bytes:
     return data[:offset] + b"\x00" * (end - offset) + data[end:]
 
 
-def check_trace_bytes(data: bytes, codec: str) -> Optional[Dict]:
+def check_trace_bytes(
+    data: bytes, codec: str, stats: Optional[Dict] = None
+) -> Optional[Dict]:
     """Run one (possibly corrupt) container through the codec oracle.
 
     Strict loads and lazy chunk streams may succeed or raise
     TraceCorruptionError — nothing else.  Salvage loads must never
-    raise.  Returns a failure dict or None.
+    raise; ``stats["salvaged"]`` counts those that recovered a prefix
+    (``Trace.load`` would warn once per file).  Returns a failure dict
+    or None.
     """
     import tempfile
 
-    from repro.engine.coltrace import stream_events
+    from repro.engine.coltrace import read_events, stream_events
     from repro.engine.trace import Trace
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -394,13 +398,15 @@ def check_trace_bytes(data: bytes, codec: str) -> Optional[Dict]:
                 "detail": f"strict load: {type(exc).__name__}: {exc}"[:300],
             }
         try:
-            Trace.load(path, salvage=True)
+            _, corruption = read_events(path, salvage=True)
         except Exception as exc:  # noqa: BLE001
             return {
                 "kind": "salvage-violation",
                 "signature": crash_signature(exc),
                 "detail": f"salvage load raised {type(exc).__name__}: {exc}"[:300],
             }
+        if corruption is not None and stats is not None:
+            stats["salvaged"] += 1
         try:
             for _ in stream_events(path):
                 pass
@@ -523,6 +529,7 @@ def run_campaign(
         "inputs": 0,
         "programs": 0,
         "trace_mutations": 0,
+        "salvaged": 0,
         "failures": [],
     }
     seen: Dict[str, Dict] = {}
@@ -541,7 +548,7 @@ def run_campaign(
             stats["trace_mutations"] += 1
             codec = CODECS[rng.randint(len(CODECS))]
             data = mutate_bytes(bases[codec], rng)
-            failure = check_trace_bytes(data, codec)
+            failure = check_trace_bytes(data, codec, stats)
             if failure is not None and failure["signature"] not in seen:
                 if minimize:
                     data = minimize_trace(

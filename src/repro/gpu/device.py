@@ -13,7 +13,7 @@ no-op :class:`~repro.instrument.nvbit.Tool`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.engine.bus import NO_TOOL, EventBus
 from repro.errors import LaunchError
@@ -23,7 +23,6 @@ from repro.gpu.events import AccessKind, MemoryEvent, SyncEvent, SyncKind
 from repro.gpu.ids import locate, warps_in_block
 from repro.gpu.instructions import (
     Atomic,
-    AtomicOp,
     Compute,
     Fence,
     Load,
@@ -270,88 +269,87 @@ class _Executor:
 
     # -- memory / fence / compute --------------------------------------
 
-    def exec_instruction(self, thread: KernelThread, instr, active_mask, batch):
-        device = self.device
-        timing = self.launch.timing
-        timing.charge(Category.NATIVE, device.costs.cost_of(instr))
-        self.instruction_count += 1
-        loc = thread.ctx.location
-        ip = thread.pending_ip
+    def exec_group(self, group, cls, active_mask, batch: int) -> None:
+        """Execute one convergence group of ``cls`` instructions.
 
-        if isinstance(instr, Load):
-            value = device.memory.device_load(instr.address, loc.block_id)
-            event = MemoryEvent(
-                kind=AccessKind.LOAD,
-                address=instr.address,
-                where=loc,
-                ip=ip,
-                active_mask=active_mask,
-                value_loaded=value,
-                batch=batch,
-            )
-            self._notify_memory(event)
-            return value
-
-        if isinstance(instr, Store):
-            device.memory.device_store(instr.address, instr.value, loc.block_id)
-            event = MemoryEvent(
-                kind=AccessKind.STORE,
-                address=instr.address,
-                where=loc,
-                ip=ip,
-                active_mask=active_mask,
-                value_stored=instr.value,
-                batch=batch,
-            )
-            self._notify_memory(event)
-            return None
-
-        if isinstance(instr, Atomic):
-            old = device.memory.device_atomic(
-                instr.op,
-                instr.address,
-                instr.value,
-                loc.block_id,
-                scope=instr.scope,
-                compare=instr.compare,
-            )
-            event = MemoryEvent(
-                kind=AccessKind.ATOMIC,
-                address=instr.address,
-                where=loc,
-                ip=ip,
-                active_mask=active_mask,
-                scope=instr.scope.effective,
-                atomic_op=instr.op,
-                value_stored=instr.value,
-                value_loaded=old,
-                compare=instr.compare,
-                batch=batch,
-            )
-            self._notify_memory(event)
-            return old
-
-        if isinstance(instr, Fence):
-            if (
-                device.memory.weak_visibility
-                and instr.scope.effective is Scope.DEVICE
-            ):
-                device.memory.flush_block(loc.block_id)
-            event = SyncEvent(
-                kind=SyncKind.FENCE,
-                where=loc,
-                ip=ip,
-                active_mask=active_mask,
-                scope=instr.scope.effective,
-                batch=batch,
-            )
-            self._notify_sync(event)
-            return None
-
-        if isinstance(instr, Compute):
-            return None
-
-        raise TypeError(f"unhandled instruction {instr!r}")  # pragma: no cover
+        In lane order, each thread runs its operation, publishes its event
+        and advances: a mutator and the weak-visibility store buffers see
+        threads in that order.  The group's integer native cycles are
+        charged once, exactly whatever the grouping; the ``finally``
+        charges and counts just the threads that started when one of
+        them aborts the launch.
+        """
+        device, launch = self.device, self.launch
+        memory, cost_of = device.memory, device.costs.cost_of
+        cycles = count = 0
+        try:
+            if cls is Load:
+                load, publish = memory.device_load, device.bus.publish_memory
+                for count, thread in enumerate(group, 1):
+                    instr = thread.pending
+                    cycles += cost_of(instr)
+                    loc = thread.ctx.location
+                    value = load(instr.address, loc.block_id)
+                    publish(MemoryEvent(
+                        AccessKind.LOAD, instr.address, loc, thread.pending_ip,
+                        active_mask, value_loaded=value, batch=batch,
+                    ), launch)
+                    thread.complete(value)
+            elif cls is Store:
+                store, publish = memory.device_store, device.bus.publish_memory
+                for count, thread in enumerate(group, 1):
+                    instr = thread.pending
+                    cycles += cost_of(instr)
+                    loc = thread.ctx.location
+                    store(instr.address, instr.value, loc.block_id)
+                    publish(MemoryEvent(
+                        AccessKind.STORE, instr.address, loc,
+                        thread.pending_ip, active_mask,
+                        value_stored=instr.value, batch=batch,
+                    ), launch)
+                    thread.complete(None)
+            elif cls is Atomic:
+                atomic = memory.device_atomic
+                publish = device.bus.publish_memory
+                for count, thread in enumerate(group, 1):
+                    instr = thread.pending
+                    cycles += cost_of(instr)
+                    loc = thread.ctx.location
+                    old = atomic(
+                        instr.op, instr.address, instr.value, loc.block_id,
+                        scope=instr.scope, compare=instr.compare,
+                    )
+                    publish(MemoryEvent(
+                        AccessKind.ATOMIC, instr.address, loc,
+                        thread.pending_ip, active_mask,
+                        scope=instr.scope.effective, atomic_op=instr.op,
+                        value_stored=instr.value, value_loaded=old,
+                        compare=instr.compare, batch=batch,
+                    ), launch)
+                    thread.complete(old)
+            elif cls is Fence:
+                publish = device.bus.publish_sync
+                for count, thread in enumerate(group, 1):
+                    instr = thread.pending
+                    cycles += cost_of(instr)
+                    loc = thread.ctx.location
+                    scope = instr.scope.effective
+                    if memory.weak_visibility and scope is Scope.DEVICE:
+                        memory.flush_block(loc.block_id)
+                    publish(SyncEvent(
+                        SyncKind.FENCE, loc, thread.pending_ip, active_mask,
+                        scope=scope, batch=batch,
+                    ), launch)
+                    thread.complete(None)
+            elif cls is Compute:
+                for count, thread in enumerate(group, 1):
+                    cycles += cost_of(thread.pending)
+                    thread.complete(None)
+            else:  # pragma: no cover - Instruction subclasses are closed
+                raise TypeError(f"unhandled instruction class {cls!r}")
+        finally:
+            launch.timing.charge(Category.NATIVE, cycles)
+            self.instruction_count += count
 
     # -- barriers --------------------------------------------------------
 
@@ -370,7 +368,7 @@ class _Executor:
             scope=Scope.BLOCK,
             batch=batch,
         )
-        self._notify_sync(event)
+        self.device.bus.publish_sync(event, self.launch)
 
     def on_warp_barrier(self, warp_id: int, threads, batch: int) -> None:
         timing = self.launch.timing
@@ -385,12 +383,4 @@ class _Executor:
             scope=Scope.BLOCK,
             batch=batch,
         )
-        self._notify_sync(event)
-
-    # -- publication ------------------------------------------------------
-
-    def _notify_memory(self, event: MemoryEvent) -> None:
-        self.device.bus.publish_memory(event, self.launch)
-
-    def _notify_sync(self, event: SyncEvent) -> None:
         self.device.bus.publish_sync(event, self.launch)

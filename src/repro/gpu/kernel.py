@@ -123,7 +123,6 @@ class KernelThread:
         "pending_ip",
         "status",
         "barrier_mask",
-        "steps",
         "mutator",
         "_inject",
     )
@@ -148,7 +147,6 @@ class KernelThread:
         self.pending_ip: str = f"{self.kernel_name}:start"
         self.status = ThreadStatus.READY
         self.barrier_mask: Optional[int] = None
-        self.steps = 0
         #: Fault-injection hook (repro.faults.mutators.StreamMutator).
         #: The hook lives here — not as a generator wrapper — because a
         #: wrapper's frame would terminate the ``gi_yieldfrom`` walk in
@@ -186,7 +184,7 @@ class KernelThread:
             ip = _IP_POOL[key] = f"{name}:{lineno}"
         return ip
 
-    def _advance(self, value, first: bool = False) -> None:
+    def _advance(self, value=None, first: bool = False) -> None:
         """Run the generator until its next yield (or completion).
 
         When a mutator is installed, each fetched instruction is offered to
@@ -199,7 +197,6 @@ class KernelThread:
         if self._inject:
             self.pending, self.pending_ip = self._inject.pop(0)
             self.status = ThreadStatus.READY
-            self.steps += 1
             return
         while True:
             try:
@@ -233,7 +230,6 @@ class KernelThread:
             self.pending = instr
             self.pending_ip = ip
             self.status = ThreadStatus.READY
-            self.steps += 1
             return
 
     # ------------------------------------------------------------------
@@ -242,13 +238,9 @@ class KernelThread:
     def done(self) -> bool:
         return self.status is ThreadStatus.DONE
 
-    @property
-    def live(self) -> bool:
-        return self.status is not ThreadStatus.DONE
-
-    def complete(self, result=None) -> None:
-        """Deliver the result of the pending instruction and fetch the next."""
-        self._advance(result)
+    #: Deliver the result of the pending instruction and fetch the next
+    #: (the executor's per-thread call, so it binds ``_advance`` directly).
+    complete = _advance
 
     def park_at_barrier(self, status: ThreadStatus, mask: Optional[int] = None) -> None:
         """Mark the thread as waiting at a block or warp barrier."""

@@ -28,19 +28,11 @@ paper's "parameterized timeout" for livelocked racy kernels, section 5).
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.rng import SplitMix64
 from repro.errors import DeadlockError
-from repro.gpu.instructions import (
-    Atomic,
-    Compute,
-    Fence,
-    Load,
-    Store,
-    Syncthreads,
-    Syncwarp,
-)
+from repro.gpu.instructions import Syncthreads, Syncwarp
 from repro.gpu.kernel import KernelThread, ThreadStatus
 from repro.obs.metrics import HOT
 from repro.obs.spans import TRACER
@@ -53,62 +45,67 @@ class SchedulerKind(enum.Enum):
     ITS = "its"
 
 
-def _group_key(thread: KernelThread) -> Tuple[str, str]:
-    """Convergence-group key: source location plus instruction class.
-
-    Two threads suspended at the same line can still be at *different*
-    instructions of that line (e.g. the load and the store of a compound
-    assignment); including the instruction class keeps such threads in
-    separate groups.
-    """
-    instr = thread.pending
-    return (thread.pending_ip, type(instr).__name__)
-
-
 class _WarpState:
     """Scheduler-side bookkeeping for one warp."""
 
-    __slots__ = ("warp_id", "block_id", "threads", "diverged")
+    __slots__ = ("warp_id", "block_id", "threads", "ready", "diverged")
 
     def __init__(self, warp_id: int, block_id: int):
         self.warp_id = warp_id
         self.block_id = block_id
         self.threads: List[KernelThread] = []
+        #: Whether any thread of the warp is READY (``ready_groups`` is
+        #: nonempty exactly when this is true).  Only the scheduler moves
+        #: threads between states, so it refreshes this after each batch
+        #: on the warp and each barrier release touching it.
+        self.ready = False
         #: Observability only: whether this warp's READY threads were last
         #: seen in more than one convergence group (tracks divergence /
         #: reconvergence transitions for the metrics registry).
         self.diverged = False
 
-    def has_ready(self) -> bool:
-        """Whether any thread of the warp is READY (cheap candidate test).
-
-        ``ready_groups`` is nonempty exactly when this is true, but this
-        scan allocates nothing — the scheduler uses it to shortlist
-        candidate warps and only builds the group structure for the one
-        warp it actually picks.
-        """
+    def refresh(self) -> None:
+        """Recompute :attr:`ready` from the threads' states."""
+        ready = ThreadStatus.READY
         for thread in self.threads:
-            if thread.status is ThreadStatus.READY:
-                return True
-        return False
+            if thread.status is ready:
+                self.ready = True
+                return
+        self.ready = False
 
     def ready_groups(self) -> List[List[KernelThread]]:
-        """Convergence groups of READY threads, in (line, kind) order."""
+        """Convergence groups of READY threads, in (line, kind) order.
+
+        The key is the source location plus the instruction class: two
+        threads suspended at the same line can still be at *different*
+        instructions of that line (e.g. the load and the store of a
+        compound assignment), and must not share a group.
+        """
+        ready = ThreadStatus.READY
         groups: Dict[Tuple[str, str], List[KernelThread]] = {}
         for thread in self.threads:
-            if thread.status is ThreadStatus.READY:
-                groups.setdefault(_group_key(thread), []).append(thread)
+            if thread.status is ready:
+                key = (thread.pending_ip, type(thread.pending).__name__)
+                group = groups.get(key)
+                if group is None:
+                    groups[key] = [thread]
+                else:
+                    group.append(thread)
+        if len(groups) == 1:
+            return list(groups.values())
         return [groups[key] for key in sorted(groups)]
 
-    def live_threads(self) -> List[KernelThread]:
-        return [t for t in self.threads if t.live]
 
-    def warp_barrier_ready(self) -> bool:
-        """Whether every live thread of the warp waits at a warp barrier."""
-        live = self.live_threads()
-        return bool(live) and all(
-            t.status is ThreadStatus.AT_WARP_BARRIER for t in live
-        )
+def _barrier_waiters(threads, status: ThreadStatus) -> List[KernelThread]:
+    """The threads parked at ``status`` if every live one is, else []."""
+    done = ThreadStatus.DONE
+    waiting = []
+    for thread in threads:
+        if thread.status is status:
+            waiting.append(thread)
+        elif thread.status is not done:
+            return []
+    return waiting
 
 
 class Scheduler:
@@ -116,13 +113,15 @@ class Scheduler:
 
     The machine-interface object supplied to :meth:`run` must provide::
 
-        exec_instruction(thread, instr, active_mask, batch) -> result
+        exec_group(group, cls, active_mask, batch) -> None
         on_block_barrier(block_id, threads, batch) -> None
         on_warp_barrier(warp_id, threads, batch) -> None
 
-    ``exec_instruction`` handles Load/Store/Atomic/Fence/Compute; barriers
-    are resolved by the scheduler itself and reported via the barrier
-    callbacks when they *complete*.
+    A convergence group is the unit of dispatch: every thread in it has a
+    pending instruction of the same class ``cls``.  ``exec_group`` handles
+    Load/Store/Atomic/Fence/Compute groups, executing and advancing each
+    thread in lane order; barriers are resolved by the scheduler itself
+    and reported via the barrier callbacks when they *complete*.
     """
 
     def __init__(
@@ -160,6 +159,9 @@ class Scheduler:
         self.span_activity: Optional[Dict[int, Tuple[int, int]]] = (
             {} if TRACER.enabled else None
         )
+        #: The warps of each block, whose readiness a block barrier's
+        #: release changes.
+        self._block_warps: Dict[int, List[_WarpState]] = {}
         warp_map: Dict[int, _WarpState] = {}
         for thread in threads:
             loc = thread.ctx.location
@@ -168,10 +170,12 @@ class Scheduler:
                 warp = _WarpState(loc.warp_id, loc.block_id)
                 warp_map[loc.warp_id] = warp
                 self._warps.append(warp)
+                self._block_warps.setdefault(loc.block_id, []).append(warp)
             warp.threads.append(thread)
             self._blocks.setdefault(loc.block_id, []).append(thread)
         for warp in self._warps:
             warp.threads.sort(key=lambda t: t.ctx.lane)
+            warp.refresh()
 
     # ------------------------------------------------------------------
     # Batch selection
@@ -180,13 +184,13 @@ class Scheduler:
     def _pick_batch(self) -> Optional[Tuple[_WarpState, List[KernelThread]]]:
         """Choose the next convergence group to execute, or None.
 
-        Candidate warps are shortlisted with the allocation-free
-        ``has_ready`` test; the group structure is built only for the one
-        warp selected.  The warp choice draws on the candidate *count*,
-        which is identical either way, so the RNG stream — and therefore
-        every simulated interleaving — is unchanged by the shortcut.
+        Candidate warps are shortlisted by their tracked ``ready`` flag;
+        the group structure is built only for the one warp selected.  The
+        warp choice draws on the candidate *count*, which is identical
+        either way, so the RNG stream — and therefore every simulated
+        interleaving — is unchanged by the shortcut.
         """
-        candidates = [warp for warp in self._warps if warp.has_ready()]
+        candidates = [warp for warp in self._warps if warp.ready]
         if not candidates:
             return None
         if HOT.enabled:
@@ -233,27 +237,27 @@ class Scheduler:
     # ------------------------------------------------------------------
 
     def _try_release_block_barrier(self, block_id: int, machine) -> None:
-        threads = [t for t in self._blocks[block_id] if t.live]
-        if not threads:
-            return
-        if all(t.status is ThreadStatus.AT_BLOCK_BARRIER for t in threads):
+        threads = _barrier_waiters(
+            self._blocks[block_id], ThreadStatus.AT_BLOCK_BARRIER
+        )
+        if threads:
             if HOT.enabled:
                 HOT.sched_barrier_releases.inc()
             machine.on_block_barrier(block_id, threads, self.batch_counter)
             for thread in threads:
                 thread.release_from_barrier()
+            for warp in self._block_warps[block_id]:
+                warp.refresh()
 
     def _try_release_warp_barrier(self, warp: _WarpState, machine) -> None:
-        if warp.warp_barrier_ready():
-            waiting = [
-                t for t in warp.live_threads()
-                if t.status is ThreadStatus.AT_WARP_BARRIER
-            ]
+        waiting = _barrier_waiters(warp.threads, ThreadStatus.AT_WARP_BARRIER)
+        if waiting:
             if HOT.enabled:
                 HOT.sched_barrier_releases.inc()
             machine.on_warp_barrier(warp.warp_id, waiting, self.batch_counter)
             for thread in waiting:
                 thread.release_from_barrier()
+            warp.refresh()
 
     # ------------------------------------------------------------------
     # Main loop
@@ -349,23 +353,19 @@ class Scheduler:
             self.span_activity[warp.warp_id] = (
                 (batch, batch) if bounds is None else (bounds[0], batch)
             )
-        active_mask: FrozenSet[int] = frozenset(t.ctx.lane for t in group)
-        barrier_blocks = set()
-        barrier_warps = []
-        for thread in group:
-            instr = thread.pending
-            if isinstance(instr, Syncthreads):
+        # Every thread of a group has the same instruction class.
+        cls = type(group[0].pending)
+        if cls is Syncthreads:
+            for thread in group:
                 thread.park_at_barrier(ThreadStatus.AT_BLOCK_BARRIER)
-                barrier_blocks.add(thread.ctx.block_id)
-            elif isinstance(instr, Syncwarp):
-                thread.park_at_barrier(ThreadStatus.AT_WARP_BARRIER, instr.mask)
-                barrier_warps.append(warp)
-            elif isinstance(instr, (Load, Store, Atomic, Fence, Compute)):
-                result = machine.exec_instruction(thread, instr, active_mask, batch)
-                thread.complete(result)
-            else:  # pragma: no cover - Instruction subclasses are closed
-                raise TypeError(f"unhandled instruction {instr!r}")
-        for block_id in barrier_blocks:
-            self._try_release_block_barrier(block_id, machine)
-        for barrier_warp in barrier_warps:
-            self._try_release_warp_barrier(barrier_warp, machine)
+            self._try_release_block_barrier(warp.block_id, machine)
+        elif cls is Syncwarp:
+            for thread in group:
+                thread.park_at_barrier(
+                    ThreadStatus.AT_WARP_BARRIER, thread.pending.mask
+                )
+            self._try_release_warp_barrier(warp, machine)
+        else:
+            active_mask = frozenset([t.ctx.lane for t in group])
+            machine.exec_group(group, cls, active_mask, batch)
+        warp.refresh()

@@ -229,6 +229,28 @@ class TestCostModel:
 
         assert native(kern_heavy) > native(kern_light)
 
+    def test_abort_mid_group_charges_started_threads(self):
+        # A tool aborting the launch at lane 2 of a four-lane load group:
+        # lanes 0-2 started, so exactly their cycles are charged.
+        class AbortAtLane2(Tool):
+            def on_launch_begin(self, launch):
+                self.launch = launch
+
+            def on_memory(self, event, launch):
+                if event.where.lane == 2:
+                    raise RuntimeError("abort")
+
+        def kern(ctx, data):
+            yield load(data, ctx.tid)
+
+        dev = fresh_device()
+        data = dev.alloc("data", 4)
+        tool = dev.add_tool(AbortAtLane2())
+        with pytest.raises(RuntimeError):
+            dev.launch(kern, 1, 4, args=(data,), split_probability=0.0)
+        native = tool.launch.timing.accounts[Category.NATIVE]
+        assert native.parallel == 3 * dev.costs.load
+
 
 class TestTimingBreakdown:
     def test_charge_and_time(self):

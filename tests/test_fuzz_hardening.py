@@ -16,6 +16,7 @@ Pins the four planks of the hardening PR:
 import base64
 import gzip
 import json
+import logging
 from dataclasses import replace
 
 import pytest
@@ -54,6 +55,7 @@ from repro.faults.fuzz import (
 from repro.gpu.arch import GPUConfig, TITAN_RTX
 from repro.gpu.events import AccessKind, MemoryEvent
 from repro.gpu.instructions import AtomicOp
+from repro.obs.log import get_logger
 from repro.workloads.registry import get_workload
 
 
@@ -503,6 +505,45 @@ class TestFuzzer:
             if k not in ("elapsed_s", "inputs_per_sec")
         }
         assert drop_timing(first) == drop_timing(second)
+
+    def test_campaign_counts_salvages_without_logging_each(self):
+        stats, logged = _capture_iguard_log(
+            lambda: run_campaign(seed=11, max_inputs=30, minimize=False)
+        )
+        assert stats["failures"] == []
+        assert stats["salvaged"] > 0
+        assert not [r for r in logged if "salvaged" in r.getMessage()]
+
+    def test_user_salvage_load_still_warns(self, tmp_path):
+        data = base_trace_bytes(SplitMix64(11))["ctr"]
+        path = tmp_path / "torn.ctr"
+        path.write_bytes(data[: len(data) // 2])
+        trace, logged = _capture_iguard_log(
+            lambda: Trace.load(str(path), salvage=True)
+        )
+        assert trace.corruption is not None
+        warned = [r for r in logged if "salvaged" in r.getMessage()]
+        assert len(warned) == 1 and warned[0].levelno == logging.WARNING
+
+
+def _capture_iguard_log(action):
+    """``(action(), records)``: what ``action`` logged under ``iguard``."""
+    records = []
+
+    class _Keep(logging.Handler):
+        def emit(self, record):
+            records.append(record)
+
+    root = get_logger()
+    level = root.level
+    handler = _Keep()
+    root.addHandler(handler)
+    root.setLevel(logging.DEBUG)
+    try:
+        return action(), records
+    finally:
+        root.removeHandler(handler)
+        root.setLevel(level)
 
 
 # ---------------------------------------------------------------------------

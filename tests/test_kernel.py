@@ -102,7 +102,7 @@ class TestKernelThread:
         t = KernelThread(kern, make_ctx(), ())
         t.park_at_barrier(ThreadStatus.AT_BLOCK_BARRIER)
         assert t.status is ThreadStatus.AT_BLOCK_BARRIER
-        assert t.live
+        assert not t.done
         t.release_from_barrier()
         assert t.status is ThreadStatus.READY
         assert t.pending.cycles == 2
@@ -115,5 +115,4 @@ class TestKernelThread:
         t = KernelThread(kern, make_ctx(), ())
         t.complete(None)
         t.complete(None)
-        assert t.steps == 2
         assert t.done
